@@ -389,16 +389,26 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="global random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections")
-    common.add_argument("--deterministic", action="store_true",
-                        help="force sequential execution everywhere")
+def _common_flags(top_level: bool) -> argparse.ArgumentParser:
+    """The global flags, accepted before or after the subcommand. Only the
+    top-level copy has defaults: a subcommand copy that is not given sets
+    nothing, so a value given before the subcommand survives."""
+    def default(value):
+        return value if top_level else argparse.SUPPRESS
 
-    parser = argparse.ArgumentParser(prog="forge", parents=[common])
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=default(None),
+                        help="global random seed")
+    common.add_argument("--threads", type=int, default=default(1),
+                        help="worker cap for parallel sections")
+    common.add_argument("--deterministic", action="store_true", default=default(False),
+                        help="force sequential execution everywhere")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags(top_level=False)
+    parser = argparse.ArgumentParser(prog="forge", parents=[_common_flags(top_level=True)])
     parser.add_argument("--config", default=None,
                         help="JSON file with refinery/train/model defaults "
                              "(goes before the subcommand)")

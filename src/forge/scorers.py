@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import shlex
 import subprocess
+import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, TextIO
@@ -77,29 +79,39 @@ def quality_request(req_id: int, src: str, trg: str, src_line: str, tgt_line: st
                         src_line=src_line, tgt_line=tgt_line)
 
 
+def _response_from_object(obj) -> ScoreResponse:
+    """The checks every transport applies to one decoded response; raises
+    ValueError with the reason."""
+    if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], int):
+        raise ValueError("missing integer id")
+    rid = obj["id"]
+    if "loss" in obj:
+        loss = obj["loss"]
+        # the bound also rejects NaN, and an integer too large for a float
+        if isinstance(loss, bool) or not isinstance(loss, (int, float)) \
+                or not abs(loss) <= sys.float_info.max:
+            raise ValueError("loss must be a finite number")
+        return ScoreResponse(id=rid, loss=float(loss))
+    if "lang" in obj and "prob" in obj:
+        lang, prob = obj["lang"], obj["prob"]
+        if not is_lang_code(lang):
+            raise ValueError(f"invalid lang {lang!r}")
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)) \
+                or not 0.0 <= prob <= 1.0:
+            raise ValueError("prob must be in [0,1]")
+        return ScoreResponse(id=rid, lang=lang, prob=float(prob))
+    raise ValueError("expected lang/prob or loss fields")
+
+
 def _parse_response_line(line: str) -> ScoreResponse:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise ProtocolViolation(line, f"invalid JSON ({e.msg})") from e
-    if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], int):
-        raise ProtocolViolation(line, "missing integer id")
-    rid = obj["id"]
-    if "loss" in obj:
-        loss = obj["loss"]
-        if isinstance(loss, bool) or not isinstance(loss, (int, float)) \
-                or loss != loss or loss in (float("inf"), float("-inf")):
-            raise ProtocolViolation(line, "loss must be a finite number")
-        return ScoreResponse(id=rid, loss=float(loss))
-    if "lang" in obj and "prob" in obj:
-        lang, prob = obj["lang"], obj["prob"]
-        if not is_lang_code(lang):
-            raise ProtocolViolation(line, f"invalid lang {lang!r}")
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)) \
-                or not 0.0 <= prob <= 1.0:
-            raise ProtocolViolation(line, "prob must be in [0,1]")
-        return ScoreResponse(id=rid, lang=lang, prob=float(prob))
-    raise ProtocolViolation(line, "expected lang/prob or loss fields")
+    try:
+        return _response_from_object(obj)
+    except ValueError as e:
+        raise ProtocolViolation(line, str(e)) from e
 
 
 class Scorer:
@@ -178,7 +190,7 @@ class SubprocessScorer(Scorer):
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
         assert self._proc.stdin is not None
         out: list[ScoreResponse] = []
-        in_flight: list[int] = []
+        in_flight: deque[int] = deque()
         for req in requests:
             try:
                 self._proc.stdin.write(req.to_wire() + "\n")
@@ -190,7 +202,7 @@ class SubprocessScorer(Scorer):
                 raise SpawnFailure(f"scorer process went away: {e}") from e
             in_flight.append(req.id)
             while len(in_flight) >= self.window:
-                out.append(self._take(in_flight.pop(0)))
+                out.append(self._take(in_flight.popleft()))
         for rid in in_flight:
             out.append(self._take(rid))
         return out
@@ -216,6 +228,13 @@ class SubprocessScorer(Scorer):
             pass
 
 
+def _sidecar_float(line_no: int, field: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as e:
+        raise SidecarParseError(line_no, f"bad {field} {text!r}") from e
+
+
 class SidecarScorer(Scorer):
     """Constant-time lookup scorer backed by a TSV file of recorded scores."""
 
@@ -234,22 +253,16 @@ class SidecarScorer(Scorer):
                 if rid in self._scores:
                     raise SidecarParseError(line_no, f"duplicate id {rid}")
                 if len(fields) == 2:
-                    try:
-                        loss = float(fields[1])
-                    except ValueError as e:
-                        raise SidecarParseError(line_no, f"bad loss {fields[1]!r}") from e
-                    self._scores[rid] = ScoreResponse(id=rid, loss=loss)
+                    obj = {"id": rid, "loss": _sidecar_float(line_no, "loss", fields[1])}
                 elif len(fields) == 3:
-                    lang = fields[1]
-                    if not is_lang_code(lang):
-                        raise SidecarParseError(line_no, f"bad lang {lang!r}")
-                    try:
-                        prob = float(fields[2])
-                    except ValueError as e:
-                        raise SidecarParseError(line_no, f"bad prob {fields[2]!r}") from e
-                    self._scores[rid] = ScoreResponse(id=rid, lang=lang, prob=prob)
+                    obj = {"id": rid, "lang": fields[1],
+                           "prob": _sidecar_float(line_no, "prob", fields[2])}
                 else:
                     raise SidecarParseError(line_no, "expected 2 or 3 tab-separated fields")
+                try:
+                    self._scores[rid] = _response_from_object(obj)
+                except ValueError as e:
+                    raise SidecarParseError(line_no, str(e)) from e
 
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
         out = []

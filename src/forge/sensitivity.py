@@ -1,14 +1,18 @@
 """Gradient-based layer sensitivity: per-layer nuclear norms of the
 Q/K/V gradient matrices over a probe dataset.
 
-The nuclear norm is computed from scratch via cyclic Jacobi rotations on
-the Gram matrix (singular values = sqrt of its eigenvalues); the test
-suite checks it against an independent full-SVD oracle.
+The nuclear norm is computed from scratch by one-sided (Hestenes) Jacobi
+on the matrix itself, never on its Gram matrix, so small singular values
+keep their accuracy (Demmel & Veselic, 1992). A column-pivoted Householder
+QR first reduces each matrix to a square triangular factor R whose rows are
+graded, which cuts the number of sweeps (Drmac & Veselic, 2008). The rows
+of R are then orthogonalised in Brent-Luk round-robin order: each round
+rotates n/2 disjoint row pairs of every matrix in a stack at once. The
+test suite checks the result against an independent full-SVD oracle.
 """
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,68 +20,117 @@ import numpy as np
 from .errors import NonFiniteInput
 from .tinylm import Batch, ModelParams, loss_and_backward
 
-_JACOBI_MAX_SWEEPS = 60
-_JACOBI_REL_TOL = 1e-14
+_JACOBI_MAX_SWEEPS = 30
 
 
-def _jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-    Deterministic: fixed sweep order, fixed convergence rule."""
-    a = np.array(sym, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    frob = math.sqrt(float(np.sum(a * a)))
-    if frob == 0.0:
-        return np.zeros(n)
-    threshold = _JACOBI_REL_TOL * frob
+def _pivoted_qr_r(a: np.ndarray) -> np.ndarray:
+    """R factors of column-pivoted Householder QR, for a stack of tall
+    matrices (k, m, n) with m >= n; returns the (k, n, n) triangles."""
+    a = a.copy()
+    k, _, n = a.shape
+    stack = np.arange(k)
+    for j in range(n):
+        rest = a[:, j:, j:]
+        pivot = j + np.argmax(np.einsum("kij,kij->kj", rest, rest), axis=1)
+        a[stack, :, j], a[stack, :, pivot] = a[stack, :, pivot], a[stack, :, j]
+        x = a[:, j:, j]
+        # the reflector does not depend on the scale of v; scaling x to a
+        # largest entry of 1 keeps v.v away from underflow
+        big = np.abs(x).max(axis=1)
+        v = x / np.where(big > 0.0, big, 1.0)[:, None]
+        norm = np.sqrt(np.einsum("ki,ki->k", v, v))
+        head = np.where(v[:, 0] >= 0.0, -norm, norm)
+        v[:, 0] -= head
+        vv = np.einsum("ki,ki->k", v, v)
+        scale = np.divide(2.0, vv, out=np.zeros(k), where=big > 0.0)
+        rest = a[:, j:, j + 1:]
+        rest -= (scale[:, None] * v)[:, :, None] * np.einsum("ki,kij->kj", v, rest)[:, None, :]
+        a[:, j, j] = head * big
+        a[:, j + 1:, j] = 0.0
+    return np.triu(a[:, :n, :])
+
+
+def _round_robin(n: int) -> np.ndarray:
+    """The slot gather that moves a Brent-Luk round to the next one: with
+    pairs in slots (2i, 2i+1), n - 1 rounds meet every pair of rows once
+    and bring the rows back to their starting slots."""
+    # circle method: player list L pairs L[i] with L[n-1-i]; the next
+    # round keeps L[0] and rotates the rest by one place
+    slot = [2 * i if i < n // 2 else 2 * (n - 1 - i) + 1 for i in range(n)]
+    source = [0, n - 1] + list(range(1, n - 1))
+    perm = np.empty(n, dtype=np.intp)
+    for i in range(n):
+        perm[slot[i]] = slot[source[i]]
+    return perm
+
+
+def _row_norms_after_jacobi(r: np.ndarray) -> np.ndarray:
+    """Orthogonalise the rows of a stack of square matrices by one-sided
+    Jacobi rotations; the row norms are then the singular values."""
+    k, n, width = r.shape
+    if n % 2:
+        r = np.concatenate([r, np.zeros((k, 1, width))], axis=1)
+        n += 1
+    perm = _round_robin(n)
+    tol = width * np.finfo(np.float64).eps
+    x = r.reshape(k, n // 2, 2, width)
+    rotation = np.empty((k, n // 2, 2, 2))
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(a.diagonal() ** 2)), 0.0))
-        if off <= threshold:
+        rotated = False
+        for _ in range(n - 1):
+            top, bottom = x[:, :, 0], x[:, :, 1]
+            alpha = np.einsum("kij,kij->ki", top, top)
+            beta = np.einsum("kij,kij->ki", bottom, bottom)
+            gamma = np.einsum("kij,kij->ki", top, bottom)
+            # relative test only: an absolute floor would drop the small
+            # singular values the nuclear norm must keep
+            active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            if active.any():
+                rotated = True
+                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma),
+                                 where=active)
+                t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                t[~active] = 0.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                rotation[..., 0, 0] = c
+                rotation[..., 0, 1] = -s
+                rotation[..., 1, 0] = s
+                rotation[..., 1, 1] = c
+                x = rotation @ x
+            x = np.take(x.reshape(k, n, width), perm, axis=1).reshape(k, n // 2, 2, width)
+        if not rotated:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    return a.diagonal().copy()
+    x = x.reshape(k, n, width)
+    return np.sqrt(np.einsum("kij,kij->ki", x, x))
+
+
+def nuclear_norms(stack: np.ndarray) -> np.ndarray:
+    """Nuclear norms (sums of singular values) of a stack of same-shape
+    matrices, shape (k, m, n), as a length-k float64 array."""
+    g = np.asarray(stack, dtype=np.float64)
+    if g.ndim != 3:
+        raise ValueError("nuclear_norms expects a stack of 2-D matrices")
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteInput("matrix contains NaN or infinity")
+    if g.shape[1] < g.shape[2]:
+        g = g.transpose(0, 2, 1)
+    k = g.shape[0]
+    if g.size == 0:
+        return np.zeros(k)
+    # exact power-of-two scaling keeps the squared row norms in range
+    _, exponent = np.frexp(np.abs(g).max(axis=(1, 2)))
+    g = np.ldexp(g, -exponent[:, None, None])
+    sigma = _row_norms_after_jacobi(_pivoted_qr_r(g))
+    return np.ldexp(np.sort(sigma, axis=1).sum(axis=1), exponent)
 
 
 def nuclear_norm(matrix: np.ndarray) -> float:
-    """Sum of singular values via Jacobi eigendecomposition of the Gram
-    matrix (the smaller of G G^T and G^T G)."""
+    """Sum of the singular values of one matrix (see `nuclear_norms`)."""
     g = np.asarray(matrix, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("nuclear_norm expects a 2-D matrix")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteInput("matrix contains NaN or infinity")
-    gram = g @ g.T if g.shape[0] <= g.shape[1] else g.T @ g
-    eigenvalues = _jacobi_eigenvalues(gram)
-    # squaring halves the usable precision: eigenvalues below the noise
-    # floor of the Gram matrix are exact zeros, not tiny singular values
-    floor = gram.shape[0] * np.finfo(np.float64).eps * max(float(eigenvalues.max()), 0.0)
-    eigenvalues = np.where(eigenvalues > floor, eigenvalues, 0.0)
-    return float(np.sum(np.sqrt(eigenvalues)))
+    return float(nuclear_norms(g[None])[0])
 
 
 @dataclass(frozen=True)
@@ -110,27 +163,22 @@ def layer_gradient_report(params: ModelParams, batches: list[Batch],
     are summed across batches before norming; otherwise the report
     carries the mean of per-batch norms."""
     config = params.config
-    names = ("W_Q", "W_K", "W_V")
+    keys = [(layer, name) for layer in range(config.n_layers)
+            for name in ("W_Q", "W_K", "W_V")]
     if accumulate:
-        acc: dict = {}
+        acc = None
         for batch in batches:
             _, grads = loss_and_backward(params, batch, loss_scale=loss_scale)
-            for layer in range(config.n_layers):
-                for name in names:
-                    key = (layer, name)
-                    if key in acc:
-                        acc[key] += grads[key]
-                    else:
-                        acc[key] = grads[key]
-        norms = {key: nuclear_norm(acc[key]) for key in acc}
+            stack = np.stack([grads[key] for key in keys])
+            acc = stack if acc is None else acc + stack
+        values = nuclear_norms(acc)
     else:
-        sums: dict = {(layer, name): 0.0
-                      for layer in range(config.n_layers) for name in names}
+        values = np.zeros(len(keys))
         for batch in batches:
             _, grads = loss_and_backward(params, batch, loss_scale=loss_scale)
-            for key in sums:
-                sums[key] += nuclear_norm(grads[key])
-        norms = {key: total / len(batches) for key, total in sums.items()}
+            values += nuclear_norms(np.stack([grads[key] for key in keys]))
+        values /= len(batches)
+    norms = dict(zip(keys, values.tolist()))
     report = GradientReport(
         probe=ProbeSpec(dataset_id=dataset_id, batch_count=len(batches), seed=seed))
     for layer in range(config.n_layers):

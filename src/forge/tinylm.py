@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .errors import AllMasked, IndexOutOfRange
+from .errors import AllMasked
 
 NORM_EPS = 1e-6
 _SQRT2 = math.sqrt(2.0)
@@ -402,17 +402,3 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
         tensors[(layer, entry["name"])] = arr
     return ModelParams(config, tensors)
 
-
-def resolve_layer_keys(config: ModelConfig, layers: set[int] | frozenset[int],
-                       include_globals: bool = False) -> set[ParamKey]:
-    """Parameter keys belonging to the given layer set (optionally plus
-    the global tensors)."""
-    for layer in layers:
-        if not 0 <= layer < config.n_layers:
-            raise IndexOutOfRange(f"layer {layer} outside 0..{config.n_layers - 1}")
-    keys: set[ParamKey] = set()
-    for layer in layers:
-        keys.update(layer_keys(layer))
-    if include_globals:
-        keys.update(global_keys())
-    return keys

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from forge.cli import main
+from forge.cli import build_parser, main
 
 MODEL_CONFIG = {
     "n_layers": 4, "d_model": 32, "n_heads": 4, "d_ff": 64,
@@ -23,6 +23,17 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["refine", "--output", "x"])  # missing --input
     assert err.value.code == 2
+
+
+def test_global_flags_before_or_after_the_subcommand():
+    parser = build_parser()
+    rest = ["eval", "--checkpoint", "ckpt", "--data", "data"]
+    args = parser.parse_args(["--seed", "5", "--threads", "3", "--deterministic"] + rest)
+    assert (args.seed, args.threads, args.deterministic) == (5, 3, True)
+    args = parser.parse_args(rest + ["--seed", "5", "--threads", "3"])
+    assert (args.seed, args.threads, args.deterministic) == (5, 3, False)
+    args = parser.parse_args(rest)
+    assert (args.seed, args.threads, args.deterministic) == (None, 1, False)
 
 
 def test_unknown_subcommand_exits_2():

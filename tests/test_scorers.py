@@ -154,6 +154,29 @@ def test_sidecar_bad_lines_rejected(tmp_path, line):
         SidecarScorer(path)
 
 
+@pytest.mark.parametrize("line", ["7\tnan", "7\tinf", "7\ten\t7.5", "7\ten\t-0.1", "7\ten\tnan"])
+def test_sidecar_applies_the_wire_checks(tmp_path, line):
+    path = tmp_path / "scores.tsv"
+    path.write_text("0\t1.0\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(SidecarParseError) as err:
+        SidecarScorer(path)
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("response", ['{"id": 0, "loss": NaN}', '{"id": 0, "loss": Infinity}',
+                                      '{"id": 0, "loss": 1' + '0' * 400 + '}',
+                                      '{"id": 0, "lang": "en", "prob": 7.5}'])
+def test_subprocess_applies_the_same_checks(tmp_path, response):
+    body = f"""
+        import sys
+        for line in sys.stdin:
+            print({response!r}, flush=True)
+    """
+    with SubprocessScorer(_script(tmp_path, body)) as scorer:
+        with pytest.raises(ProtocolViolation):
+            scorer.score([langid_request(0, "x")])
+
+
 def test_sidecar_equivalent_to_subprocess(tmp_path):
     table = "\n".join(f"{i}\t{float(i) * 0.5!r}" for i in range(20)) + "\n"
     path = tmp_path / "scores.tsv"

@@ -13,10 +13,11 @@ from forge.sensitivity import (
     ascii_bars,
     layer_gradient_report,
     nuclear_norm,
+    nuclear_norms,
     report_from_csv,
     report_to_csv,
 )
-from forge.tinylm import Batch, ModelConfig, init
+from forge.tinylm import Batch, ModelConfig, init, loss_and_backward
 
 from helpers import params_digest, svd_nuclear_norm
 
@@ -71,6 +72,38 @@ def test_unitary_invariance():
         a = nuclear_norm(m)
         b = nuclear_norm(u @ m @ v.T)
         assert abs(a - b) / a < 1e-7
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (64, 32), (32, 64)])
+def test_graded_spectrum_matches_svd_oracle(shape):
+    # singular values from 1 down to 1e-11: squaring them into a Gram
+    # matrix would lose the small ones that the sum still needs
+    rng = np.random.default_rng(sum(shape))
+    rank = min(shape)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], rank)))
+    m = u @ np.diag(np.logspace(0, -11, rank)) @ v.T
+    oracle = svd_nuclear_norm(m)
+    assert abs(nuclear_norm(m) - oracle) / oracle < 1e-8
+
+
+def test_stack_matches_single_matrices():
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 9, 6)) * rng.uniform(1e-3, 1e3, (5, 1, 1))
+    got = nuclear_norms(stack)
+    assert got.shape == (5,)
+    for value, m in zip(got, stack):
+        assert abs(value - nuclear_norm(m)) / value < 1e-12
+        assert abs(value - svd_nuclear_norm(m)) / value < 1e-8
+
+
+def test_stack_rejects_bad_input():
+    with pytest.raises(ValueError):
+        nuclear_norms(np.ones((3, 3)))
+    stack = np.ones((4, 3, 3))
+    stack[2, 0, 1] = np.inf
+    with pytest.raises(NonFiniteInput):
+        nuclear_norms(stack)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,6 +166,32 @@ def test_per_batch_mode_differs_from_accumulated():
     # mean of norms >= norm of mean-ish sums only up to scaling; just pin
     # that the flag changes the statistic
     assert any(a.q_norm != p.q_norm for a, p in zip(acc.rows, per.rows))
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_report_norms_match_single_norms_and_svd(accumulate):
+    params = init(CFG)
+    batches = _probe_batches()
+    report = layer_gradient_report(params, batches, accumulate=accumulate)
+    grads = [loss_and_backward(params, batch)[1] for batch in batches]
+    for row in report.rows:
+        for name, got in zip(("W_Q", "W_K", "W_V"), (row.q_norm, row.k_norm, row.v_norm)):
+            per_batch = [g[(row.layer, name)] for g in grads]
+            if accumulate:
+                acc = sum(per_batch[1:], per_batch[0])
+                mine, oracle = nuclear_norm(acc), svd_nuclear_norm(acc)
+            else:
+                mine = sum(nuclear_norm(g) for g in per_batch) / len(batches)
+                oracle = sum(svd_nuclear_norm(g) for g in per_batch) / len(batches)
+            assert abs(got - mine) / mine < 1e-12
+            assert abs(got - oracle) / oracle < 1e-8
+
+
+def test_report_rejects_non_finite_gradient():
+    params = init(CFG)
+    params[(1, "W_V")][0, 0] = np.inf
+    with pytest.raises(NonFiniteInput):
+        layer_gradient_report(params, _probe_batches())
 
 
 def test_csv_round_trip():
