@@ -55,6 +55,18 @@ class ScorerTimeout(ScorerFailure):
         super().__init__(f"no response for id {request_id} within {deadline}s")
 
 
+class ScoreKindMismatch(ScorerFailure):
+    """A response carries the other kind of score than its request asked
+    for: lang/prob for a quality request, or loss for a language-ID one."""
+
+    def __init__(self, request_id: int, request_kind: str, response_kind: str):
+        self.request_id = request_id
+        self.request_kind = request_kind
+        self.response_kind = response_kind
+        super().__init__(f"id {request_id}: {request_kind} request answered "
+                         f"with a {response_kind} score")
+
+
 class MissingScore(ScorerFailure):
     """Sidecar file has no entry for a queried id."""
 

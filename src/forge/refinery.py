@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyDevSet, EmptyTemplatePool, MalformedLine
 from .records import (
@@ -114,22 +117,15 @@ class RefineryReport:
 # ---------------------------------------------------------------------------
 # Step 2: cleaning
 
+# C0 except tab and newline, DEL, C1, U+FFFD and lone surrogates
+_DROPPED_CHARS = re.compile(r"[\x00-\x08\x0b-\x1f\x7f-\x9f\ufffd\ud800-\udfff]")
+
+
 def clean_text(text: str) -> str:
     """Normalize to NFC, strip control characters and replacement chars,
     collapse whitespace runs to single spaces, trim. Idempotent."""
-    text = unicodedata.normalize("NFC", text)
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch in ("\n", "\t"):
-            out.append(ch)
-            continue
-        if code < 0x20 or 0x7F <= code <= 0x9F:  # C0 / DEL / C1
-            continue
-        if code == 0xFFFD or 0xD800 <= code <= 0xDFFF:
-            continue
-        out.append(ch)
-    return " ".join("".join(out).split())
+    text = _DROPPED_CHARS.sub("", unicodedata.normalize("NFC", text))
+    return " ".join(text.split())
 
 
 def clean_record(record: ParallelRecord) -> ParallelRecord:
@@ -171,71 +167,91 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def signatures(token_lists: Sequence[Sequence[str]]) -> list[int]:
+    """Classic 64-bit SimHash of each token multiset (ties round to 0).
+
+    Each distinct token of the batch is hashed once; a record's bit
+    accumulator is the exact integer sum of its tokens' +1/-1 bit rows.
+    An empty token list signs to 0.
+    """
+    index: dict[str, int] = {}
+    occurrences = [index.setdefault(tok, len(index))
+                   for tokens in token_lists for tok in tokens]
+    sigs = np.zeros(len(token_lists), dtype=np.uint64)
+    if not occurrences:
+        return sigs.tolist()
+    hashes = np.array([fnv1a64(tok.encode("utf-8")) for tok in index], dtype="<u8")
+    rows = np.unpackbits(hashes.view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little").view(np.int8)
+    rows *= 2
+    rows -= 1
+    lengths = np.array([len(tokens) for tokens in token_lists])
+    nonempty = np.flatnonzero(lengths)
+    starts = (np.cumsum(lengths) - lengths)[nonempty]
+    acc = np.add.reduceat(rows[occurrences], starts, axis=0, dtype=np.int32)
+    sigs[nonempty] = np.packbits(acc > 0, axis=1, bitorder="little").view("<u8").ravel()
+    return sigs.tolist()
+
+
 def simhash64(tokens: Sequence[str]) -> int:
     """Classic 64-bit SimHash over a token multiset (ties round to 0)."""
-    if not tokens:
-        return 0
-    acc = [0] * 64
-    counts: dict[str, int] = {}
-    for tok in tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    for tok, weight in counts.items():
-        h = fnv1a64(tok.encode("utf-8"))
-        for bit in range(64):
-            if (h >> bit) & 1:
-                acc[bit] += weight
-            else:
-                acc[bit] -= weight
-    sig = 0
-    for bit in range(64):
-        if acc[bit] > 0:
-            sig |= 1 << bit
-    return sig
+    return signatures([tokens])[0]
+
+
+def record_tokens(record: ParallelRecord, config: RefineryConfig) -> list[str]:
+    """The token multiset a record is signed over: source then target."""
+    src_tokens, tgt_tokens = side_tokens(record, config)
+    return src_tokens + tgt_tokens
 
 
 def record_signature(record: ParallelRecord, config: RefineryConfig) -> int:
-    src_tokens, tgt_tokens = side_tokens(record, config)
-    return simhash64(src_tokens + tgt_tokens)
+    return simhash64(record_tokens(record, config))
 
 
 def hamming(a: int, b: int) -> int:
     return (a ^ b).bit_count()
 
 
-def band_keys(signature: int, radius: int) -> list[tuple[int, int]]:
-    """Split a 64-bit signature into radius+1 bands (4x16 bits at the
-    default radius 3). Two signatures within the radius share a band."""
+def band_keys(sigs: Sequence[int] | np.ndarray, radius: int) -> np.ndarray:
+    """Split each 64-bit signature into radius+1 bands (4x16 bits at the
+    default radius 3); row i holds the band values of signature i. Two
+    signatures within the radius share a band value in some column."""
     n_bands = min(max(radius + 1, 1), 64)
     base, rem = divmod(64, n_bands)
-    keys = []
-    offset = 0
-    for i in range(n_bands):
-        width = base + (1 if i < rem else 0)
-        mask = (1 << width) - 1
-        keys.append((i, (signature >> offset) & mask))
-        offset += width
-    return keys
+    widths = np.array([base + (1 if i < rem else 0) for i in range(n_bands)], dtype=np.uint64)
+    offsets = np.cumsum(widths) - widths
+    masks = np.uint64(_U64) >> (np.uint64(64) - widths)
+    column = np.asarray(sigs, dtype=np.uint64).reshape(-1, 1)
+    return (column >> offsets) & masks
 
 
 class SimHashIndex:
-    """LSH-banded index over kept signatures for near-duplicate lookup."""
+    """LSH-banded index over kept signatures for near-duplicate lookup.
+
+    Callers pass each signature with its row of `band_keys`."""
 
     def __init__(self, radius: int):
         self.radius = radius
         self._buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def conflicts(self, signature: int) -> list[tuple[int, int]]:
+    def conflicts(self, signature: int, keys: Sequence[int]) -> list[tuple[int, int]]:
         """Distinct (entry_id, signature) pairs within the hamming radius."""
         seen: dict[int, int] = {}
-        for key in band_keys(signature, self.radius):
-            for entry_id, other in self._buckets.get(key, ()):
+        for band, key in enumerate(keys):
+            for entry_id, other in self._buckets.get((band, key), ()):
                 if entry_id not in seen and hamming(signature, other) <= self.radius:
                     seen[entry_id] = other
         return sorted(seen.items())
 
-    def add(self, entry_id: int, signature: int) -> None:
-        for key in band_keys(signature, self.radius):
-            self._buckets.setdefault(key, []).append((entry_id, signature))
+    def add(self, entry_id: int, signature: int, keys: Sequence[int]) -> None:
+        for band, key in enumerate(keys):
+            self._buckets.setdefault((band, key), []).append((entry_id, signature))
+
+
+# Records tokenised and signed at a time. Bounds the memory of one
+# `signatures` call whatever the pair size: its sum casts the block's
+# occurrences x 64 rows to int32, 256 bytes per token occurrence.
+_SIGN_BLOCK = 256
 
 
 def dedup(records: Sequence[ParallelRecord], config: RefineryConfig
@@ -245,20 +261,25 @@ def dedup(records: Sequence[ParallelRecord], config: RefineryConfig
     An exact-signature duplicate of a kept record is always dropped
     (keep-first); otherwise a candidate is dropped iff it conflicts
     (hamming <= radius) with more than max_conflicts distinct kept
-    records. Returns (kept records in input order, dropped count).
+    records. Records are signed in blocks of `_SIGN_BLOCK` with
+    `signatures`, which gives the same values as `record_signature`.
+    Returns (kept records in input order, dropped count).
     """
     index = SimHashIndex(config.hamming_radius)
     kept: list[ParallelRecord] = []
     dropped = 0
-    for record in records:
-        sig = record_signature(record, config)
-        conflicts = index.conflicts(sig)
-        exact = any(other == sig for _, other in conflicts)
-        if exact or len(conflicts) > config.max_conflicts:
-            dropped += 1
-            continue
-        index.add(record.seq, sig)
-        kept.append(record)
+    for start in range(0, len(records), _SIGN_BLOCK):
+        block = records[start:start + _SIGN_BLOCK]
+        sigs = signatures([record_tokens(r, config) for r in block])
+        keys = band_keys(sigs, config.hamming_radius).tolist()
+        for record, sig, sig_keys in zip(block, sigs, keys):
+            conflicts = index.conflicts(sig, sig_keys)
+            exact = any(other == sig for _, other in conflicts)
+            if exact or len(conflicts) > config.max_conflicts:
+                dropped += 1
+                continue
+            index.add(record.seq, sig, sig_keys)
+            kept.append(record)
     return kept, dropped
 
 

@@ -7,9 +7,15 @@ Heavyweight models stay outside the artifact behind one of two handles:
   ``{"id":N,"kind":"quality","src":L,"trg":L,"src_line":S,"tgt_line":S}``.
   Response lines: ``{"id":N,"lang":L,"prob":P}`` or ``{"id":N,"loss":X}``.
   Responses may arrive out of order; they are matched by id. Up to
-  ``window`` requests are kept in flight.
+  ``window`` requests are kept in flight. A response for an id that is
+  not awaiting one (never sent, or already answered) is a protocol
+  violation.
 * SidecarScorer -- precomputed scores in a TSV file,
   ``id<TAB>lang<TAB>prob`` or ``id<TAB>loss``, one line per id.
+
+Both transports check that each response carries the kind of score its
+request asked for (``loss`` for quality, ``lang``/``prob`` for language
+ID) and raise ``ScoreKindMismatch`` otherwise.
 
 Request id scheme used by the pipeline (sidecar authors must follow it):
 language-ID requests use id ``2*seq`` for the source line and ``2*seq+1``
@@ -32,6 +38,7 @@ from typing import Sequence, TextIO
 from .errors import (
     MissingScore,
     ProtocolViolation,
+    ScoreKindMismatch,
     ScorerTimeout,
     SidecarParseError,
     SpawnFailure,
@@ -103,6 +110,14 @@ def _response_from_object(obj) -> ScoreResponse:
     raise ValueError("expected lang/prob or loss fields")
 
 
+def _answer_to(request: ScoreRequest, response: ScoreResponse) -> ScoreResponse:
+    """`response` if it carries the kind of score `request` asked for."""
+    response_kind = "quality" if response.loss is not None else "langid"
+    if response_kind != request.kind:
+        raise ScoreKindMismatch(request.id, request.kind, response_kind)
+    return response
+
+
 def _parse_response_line(line: str) -> ScoreResponse:
     try:
         obj = json.loads(line)
@@ -144,6 +159,9 @@ class SubprocessScorer(Scorer):
             raise SpawnFailure(f"cannot launch {argv!r}: {e}") from e
         self.timeout = timeout
         self.window = max(1, window)
+        # ids sent and not yet answered, and answers not yet taken; both
+        # guarded by _cond
+        self._outstanding: set[int] = set()
         self._pending: dict[int, ScoreResponse] = {}
         self._reader_error: Exception | None = None
         self._eof = False
@@ -160,6 +178,10 @@ class SubprocessScorer(Scorer):
                     continue
                 resp = _parse_response_line(line)
                 with self._cond:
+                    if resp.id not in self._outstanding:
+                        raise ProtocolViolation(
+                            line, f"response for id {resp.id}, which is not awaiting one")
+                    self._outstanding.remove(resp.id)
                     self._pending[resp.id] = resp
                     self._cond.notify_all()
         except Exception as e:  # surfaced to the scoring thread
@@ -171,14 +193,15 @@ class SubprocessScorer(Scorer):
             self._eof = True
             self._cond.notify_all()
 
-    def _take(self, req_id: int) -> ScoreResponse:
+    def _take(self, req: ScoreRequest) -> ScoreResponse:
+        req_id = req.id
         with self._cond:
             got = self._cond.wait_for(
                 lambda: req_id in self._pending or self._reader_error is not None
                 or self._eof,
                 timeout=self.timeout)
             if req_id in self._pending:
-                return self._pending.pop(req_id)
+                return _answer_to(req, self._pending.pop(req_id))
             if self._reader_error is not None:
                 raise self._reader_error
             if self._eof:
@@ -190,8 +213,11 @@ class SubprocessScorer(Scorer):
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
         assert self._proc.stdin is not None
         out: list[ScoreResponse] = []
-        in_flight: deque[int] = deque()
+        in_flight: deque[ScoreRequest] = deque()
         for req in requests:
+            # registered before the write: a fast child may answer at once
+            with self._cond:
+                self._outstanding.add(req.id)
             try:
                 self._proc.stdin.write(req.to_wire() + "\n")
                 self._proc.stdin.flush()
@@ -200,11 +226,11 @@ class SubprocessScorer(Scorer):
                     if self._reader_error is not None:
                         raise self._reader_error
                 raise SpawnFailure(f"scorer process went away: {e}") from e
-            in_flight.append(req.id)
+            in_flight.append(req)
             while len(in_flight) >= self.window:
                 out.append(self._take(in_flight.popleft()))
-        for rid in in_flight:
-            out.append(self._take(rid))
+        for req in in_flight:
+            out.append(self._take(req))
         return out
 
     def close(self) -> None:
@@ -269,7 +295,7 @@ class SidecarScorer(Scorer):
         for req in requests:
             if req.id not in self._scores:
                 raise MissingScore(req.id)
-            out.append(self._scores[req.id])
+            out.append(_answer_to(req, self._scores[req.id]))
         return out
 
 

@@ -6,6 +6,9 @@ of the code paths they check.
 """
 from __future__ import annotations
 
+import unicodedata
+from typing import Sequence
+
 import numpy as np
 
 from forge.records import ParallelRecord
@@ -19,6 +22,47 @@ def fnv1a64_reference(data: bytes) -> int:
         h ^= b
         h = (h * 0x100000001B3) % 2**64
     return h
+
+
+def simhash64_reference(tokens: Sequence[str]) -> int:
+    """Scalar 64-bit SimHash over a token multiset (ties round to 0):
+    one weighted +1/-1 vote per distinct token and bit."""
+    if not tokens:
+        return 0
+    acc = [0] * 64
+    counts: dict[str, int] = {}
+    for tok in tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    for tok, weight in counts.items():
+        h = fnv1a64_reference(tok.encode("utf-8"))
+        for bit in range(64):
+            if (h >> bit) & 1:
+                acc[bit] += weight
+            else:
+                acc[bit] -= weight
+    sig = 0
+    for bit in range(64):
+        if acc[bit] > 0:
+            sig |= 1 << bit
+    return sig
+
+
+def clean_text_reference(text: str) -> str:
+    """Per-character cleaning: NFC, drop C0 (except tab and newline), DEL,
+    C1, U+FFFD and lone surrogates, collapse whitespace, trim."""
+    text = unicodedata.normalize("NFC", text)
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in ("\n", "\t"):
+            out.append(ch)
+            continue
+        if code < 0x20 or 0x7F <= code <= 0x9F:  # C0 / DEL / C1
+            continue
+        if code == 0xFFFD or 0xD800 <= code <= 0xDFFF:
+            continue
+        out.append(ch)
+    return " ".join("".join(out).split())
 
 
 def brute_force_dedup(records, config: RefineryConfig):

@@ -100,6 +100,22 @@ def test_refine_report_and_reruns_byte_identical(tmp_path, fixture_paths):
     assert report["stages"]["format"]["kept"] == 865
 
 
+def test_refine_wrong_kind_scorer_is_domain_error(tmp_path, fixture_paths, capsys):
+    code = main([
+        "refine", "--input", str(fixture_paths["input"]),
+        "--output", str(tmp_path / "out.jsonl"),
+        "--langid-scorer", str(fixture_paths["langid"]),
+        "--quality-scorer", str(fixture_paths["langid"]),
+        "--dev-set", str(fixture_paths["dev_records"]),
+        "--dev-scorer", str(fixture_paths["dev"]),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "quality" in err and "langid" in err
+    assert "Traceback" not in err
+
+
 def test_refine_emits_instruction_samples(tmp_path, fixture_paths):
     out = tmp_path / "instructions.jsonl"
     assert main(["refine", "--input", str(fixture_paths["input"]),

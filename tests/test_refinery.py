@@ -7,7 +7,7 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forge.errors import EmptyDevSet, EmptyTemplatePool
@@ -16,6 +16,7 @@ from forge.refinery import (
     DEFAULT_TEMPLATES,
     DropReason,
     RefineryConfig,
+    band_keys,
     clean_text,
     dedup,
     fnv1a64,
@@ -27,12 +28,20 @@ from forge.refinery import (
     quality_threshold,
     record_signature,
     run_pipeline,
+    signatures,
     simhash64,
     template_hash,
 )
 from forge.scorers import ScoreResponse, Scorer
 
-from helpers import brute_force_dedup, fnv1a64_reference, inject_duplicates, random_corpus
+from helpers import (
+    brute_force_dedup,
+    clean_text_reference,
+    fnv1a64_reference,
+    inject_duplicates,
+    random_corpus,
+    simhash64_reference,
+)
 
 VOCAB = [f"w{i:03d}" for i in range(500)]
 
@@ -62,6 +71,25 @@ def test_clean_nfd_becomes_nfc():
 def test_clean_idempotent(text):
     once = clean_text(text)
     assert clean_text(once) == once
+
+
+# any character, plus the ones cleaning drops or keeps at the class edges:
+# C0 (tab and newline kept), DEL, C1, U+FFFD and lone surrogates
+_DIRTY_TEXT = st.text(alphabet=st.one_of(
+    st.characters(),
+    st.integers(0x00, 0xA0).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.sampled_from("\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\ufffd\ufffc\ufffe\u3000\u0301e\u00e9 "),
+), max_size=80)
+
+
+@settings(max_examples=500)
+@given(_DIRTY_TEXT)
+# \x0b, \x0c, \x1c-\x1f and \x85 are whitespace to str.split but dropped
+# before it; \xa0 is whitespace and kept until the collapse
+@example("a\ud83d\ude00b\x7f\x9f\t\n\x0bc\ufffd\x1f\xa0d\x1ce\x0cf\x85g")
+def test_clean_text_matches_reference(text):
+    assert clean_text(text) == clean_text_reference(text)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +144,41 @@ def test_simhash_single_token_equals_fnv():
     assert simhash64(["a"]) == fnv1a64(b"a")
     d = hamming(simhash64(["a"]), simhash64(["b"]))
     assert d == (fnv1a64(b"a") ^ fnv1a64(b"b")).bit_count()
+
+
+_TOKENS = st.one_of(st.sampled_from(["a", "b", "ä", "中", "😀", "x" * 1500, "€" * 400]),
+                    st.text(min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_TOKENS, max_size=40), max_size=12))
+@example([[], ["a"], ["a", "b"], ["a"] * 300, ["a", "b"] * 200, [], ["€" * 400, "中"]])
+def test_signatures_match_reference(token_lists):
+    # ["a", "b"] ties on every bit where the two hashes differ; ["a"] * 300
+    # overflows an int8 accumulator
+    assert signatures(token_lists) == [simhash64_reference(t) for t in token_lists]
+
+
+def _band_keys_scalar(signature, radius):
+    n_bands = min(max(radius + 1, 1), 64)
+    base, rem = divmod(64, n_bands)
+    keys = []
+    offset = 0
+    for i in range(n_bands):
+        width = base + (1 if i < rem else 0)
+        keys.append((signature >> offset) & ((1 << width) - 1))
+        offset += width
+    return keys
+
+
+@settings(max_examples=50)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=16))
+@example([0, 2**64 - 1, 2**63, 1])
+def test_band_keys_match_scalar_split(sigs):
+    for radius in range(64):
+        keys = band_keys(sigs, radius)
+        assert keys.shape == (len(sigs), radius + 1)
+        assert keys.tolist() == [_band_keys_scalar(s, radius) for s in sigs]
 
 
 def test_simhash_deterministic_and_order_independent():
@@ -206,6 +269,36 @@ def test_dedup_matches_brute_force_oracle(trial):
     kept_oracle, dropped_oracle = brute_force_dedup(records, config)
     assert [r.seq for r in kept] == [r.seq for r in kept_oracle]
     assert dropped == dropped_oracle
+
+
+_WORDS = st.sampled_from([f"w{i}" for i in range(12)] + ["ä", "ß", "中文", "😀"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(pool=st.lists(st.tuples(st.lists(_WORDS, min_size=1, max_size=6),
+                               st.lists(_WORDS, min_size=1, max_size=6)),
+                     min_size=1, max_size=40),
+       n_records=st.integers(0, 700), seed=st.integers(0, 2**16),
+       radius=st.integers(0, 8), max_conflicts=st.integers(0, 3))
+def test_dedup_matches_reference_scan(pool, n_records, seed, radius, max_conflicts):
+    """Up to 700 records drawn from a small pool of short pairs: exact
+    duplicates and near neighbours are common, and runs cross blocks."""
+    picks = np.random.default_rng(seed).integers(0, len(pool), n_records)
+    records = [_rec(" ".join(pool[i][0]), " ".join(pool[i][1]), seq=seq)
+               for seq, i in enumerate(picks.tolist())]
+    config = RefineryConfig(hamming_radius=radius, max_conflicts=max_conflicts)
+    ref_sigs = [simhash64_reference(src + tgt) for src, tgt in pool]
+    kept_sigs, expect = [], []
+    for seq, i in enumerate(picks.tolist()):
+        sig = ref_sigs[i]
+        near = [s for s in kept_sigs if (s ^ sig).bit_count() <= radius]
+        if sig in near or len(near) > max_conflicts:
+            continue
+        kept_sigs.append(sig)
+        expect.append(seq)
+    kept, dropped = dedup(records, config)
+    assert [r.seq for r in kept] == expect
+    assert dropped == n_records - len(expect)
 
 
 def test_dedup_preserves_order():

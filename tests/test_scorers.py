@@ -9,6 +9,7 @@ import pytest
 from forge.errors import (
     MissingScore,
     ProtocolViolation,
+    ScoreKindMismatch,
     ScorerTimeout,
     SidecarParseError,
     SpawnFailure,
@@ -107,6 +108,48 @@ def test_subprocess_bad_prob_rejected(tmp_path):
             scorer.score([langid_request(0, "x")])
 
 
+def test_subprocess_loss_answer_to_langid_rejected(tmp_path):
+    body = """
+        import json, sys
+        for line in sys.stdin:
+            req = json.loads(line)
+            print(json.dumps({"id": req["id"], "loss": 1.0}), flush=True)
+    """
+    with SubprocessScorer(_script(tmp_path, body)) as scorer:
+        with pytest.raises(ScoreKindMismatch) as err:
+            scorer.score([langid_request(4, "x")])
+    assert (err.value.request_id, err.value.request_kind, err.value.response_kind) == \
+        (4, "langid", "quality")
+    assert "4" in str(err.value)
+
+
+def test_subprocess_duplicate_response_rejected(tmp_path):
+    # the first request is answered twice; the reader must stop there
+    body = """
+        import json, sys
+        for n, line in enumerate(sys.stdin):
+            req = json.loads(line)
+            for _ in range(2 if n == 0 else 1):
+                print(json.dumps({"id": req["id"], "loss": 1.0}), flush=True)
+    """
+    with SubprocessScorer(_script(tmp_path, body), timeout=10.0) as scorer:
+        with pytest.raises(ProtocolViolation, match="id 0"):
+            scorer.score([quality_request(i, "en", "de", "a", "b") for i in range(3)])
+
+
+def test_subprocess_unknown_response_id_rejected(tmp_path):
+    body = """
+        import json, sys
+        for line in sys.stdin:
+            req = json.loads(line)
+            print(json.dumps({"id": req["id"] + 1000, "loss": 1.0}), flush=True)
+    """
+    with SubprocessScorer(_script(tmp_path, body), timeout=10.0) as scorer:
+        with pytest.raises(ProtocolViolation, match="id 1000"):
+            scorer.score([quality_request(0, "en", "de", "a", "b")])
+    assert not scorer._pending
+
+
 def test_spawn_failure():
     with pytest.raises(SpawnFailure):
         SubprocessScorer(["/no/such/binary/anywhere"])
@@ -144,6 +187,21 @@ def test_sidecar_duplicate_id_rejected(tmp_path):
     path.write_text("0\t1.0\n0\t2.0\n", encoding="utf-8")
     with pytest.raises(SidecarParseError):
         SidecarScorer(path)
+
+
+@pytest.mark.parametrize("table, request_kind, response_kind", [
+    ("3\ten\t0.9\n", "quality", "langid"),
+    ("3\t2.5\n", "langid", "quality"),
+])
+def test_sidecar_kind_mismatch_rejected(tmp_path, table, request_kind, response_kind):
+    path = tmp_path / "scores.tsv"
+    path.write_text(table, encoding="utf-8")
+    request = (langid_request(3, "x") if request_kind == "langid"
+               else quality_request(3, "en", "de", "a", "b"))
+    with pytest.raises(ScoreKindMismatch) as err:
+        SidecarScorer(path).score([request])
+    assert (err.value.request_id, err.value.request_kind, err.value.response_kind) == \
+        (3, request_kind, response_kind)
 
 
 @pytest.mark.parametrize("line", ["x\t1.0", "0\tnotanumber", "0\tEN\t0.5", "0\ta\tb\tc\td"])
