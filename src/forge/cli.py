@@ -8,6 +8,7 @@ reruns. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -171,29 +172,37 @@ def _load_model(args) -> tinylm.ModelParams:
 def _train_config(args) -> trainer.TrainConfig:
     defaults = _global_defaults(args).get("train", {})
     config = trainer.TrainConfig(**defaults)
-    for name, attr in (("lr_max", "lr_max"), ("lr_min", "lr_min"),
-                       ("warmup_ratio", "warmup_ratio"), ("epochs", "epochs"),
-                       ("batch_size", "batch_size"), ("grad_accum", "grad_accum")):
+    for name in ("lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum"):
         value = getattr(args, name, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, name, value)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
     return config
 
 
-def _parse_mode(args, n_layers: int) -> trainer.TrainMode:
-    mode = args.mode
+def parse_mode(mode: str, n_layers: int, k: int = 0, m: int = 0, skip=(),
+               layer: int | None = None) -> trainer.TrainMode:
+    """The one reader of a training mode, for `train --mode` and for
+    `compare` rows: two-stage | single-stage (with k, m and skip), fft, or
+    single-layer (layer given apart or as single-layer:<l>). Every layer
+    index is checked against n_layers here, before any training."""
     if mode.startswith("single-layer:"):
-        return trainer.TrainMode.single_layer(int(mode.split(":", 1)[1]))
-    if mode == "fft":
-        return trainer.TrainMode.full_finetune()
-    selection = trainer.select_layers(n_layers, args.k, args.m, args.skip or ())
-    if mode == "two-stage":
-        return trainer.TrainMode.two_stage(selection)
-    if mode == "single-stage":
-        return trainer.TrainMode.single_stage(selection)
-    raise ForgeError(f"unknown mode {mode!r}")
+        mode, layer = "single-layer", int(mode.split(":", 1)[1])
+    if mode == "single-layer":
+        if layer is None:
+            raise ForgeError("single-layer needs a layer")
+        result = trainer.TrainMode.single_layer(layer)
+    elif mode == "fft":
+        result = trainer.TrainMode.full_finetune()
+    elif mode in ("two-stage", "single-stage"):
+        selection = trainer.select_layers(n_layers, k, m, skip)
+        result = (trainer.TrainMode.two_stage(selection) if mode == "two-stage"
+                  else trainer.TrainMode.single_stage(selection))
+    else:
+        raise ForgeError(f"unknown mode {mode!r}")
+    trainer.stage_plan(result, n_layers)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +211,7 @@ def _parse_mode(args, n_layers: int) -> trainer.TrainMode:
 def cmd_train(args) -> int:
     params = _load_model(args)
     config = _train_config(args)
-    mode = _parse_mode(args, params.config.n_layers)
+    mode = parse_mode(args.mode, params.config.n_layers, args.k, args.m, args.skip or ())
     samples = load_samples(args.data, params.config.vocab_size)
     batches = synth.make_batches(samples, config.batch_size)
 
@@ -298,23 +307,101 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-def cmd_compare(args) -> int:
-    spec = _load_json(args.spec)
-    out = Path(args.out or spec["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+# The keys of an experiment spec (the required ones first), of its
+# pretrain block, and of its rows: every row takes the common keys, and
+# each mode its own.
+SPEC_REQUIRED = ("model_config", "train_data", "eval_sets", "rows")
+SPEC_KEYS = SPEC_REQUIRED + ("start_checkpoint", "pretrain", "seed", "out_dir")
+PRETRAIN_KEYS = ("data", "config")
+ROW_KEYS = ("label", "mode", "train")
+MODE_KEYS = {"two-stage": ("k", "m", "skip"), "single-stage": ("k", "m", "skip"),
+             "fft": (), "single-layer": ("layer",)}
 
-    labels = [row["label"] for row in spec["rows"]]
+
+def _check_keys(obj, allowed, required, what: str) -> None:
+    """Reject a spec object that is not a JSON object, misses a required
+    key, or has a key nothing reads."""
+    if not isinstance(obj, dict):
+        raise ForgeError(f"{what} must be an object, not {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ForgeError(f"missing {what} key {key!r}")
+    for key in obj:
+        if key not in allowed:
+            raise ForgeError(f"unknown {what} key {key!r}")
+
+
+def _check_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ForgeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _spec_train_config(obj, what: str) -> trainer.TrainConfig:
+    """A TrainConfig from a spec object, every key and value type checked."""
+    defaults = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+    _check_keys(obj, defaults, (), what)
+    for key, value in obj.items():
+        if isinstance(defaults[key], int):
+            _check_int(value, f"{what} {key!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ForgeError(f"{what} {key!r} must be a number, not {value!r}")
+    return trainer.TrainConfig(**obj)
+
+
+def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMode,
+                                                            trainer.TrainConfig]]:
+    """Check every row of the spec and resolve its mode and train config,
+    so that a bad row fails before anything trains."""
+    labels = []
+    for row in spec["rows"]:
+        if not isinstance(row, dict) or not isinstance(row.get("label"), str):
+            raise ForgeError(f"every row needs a label: {row!r}")
+        labels.append(row["label"])
     if len(set(labels)) != len(labels):
         raise ForgeError("row labels must be unique")
+    plan = []
+    for row in spec["rows"]:
+        try:
+            if not isinstance(row.get("mode"), str) or row["mode"] not in MODE_KEYS:
+                raise ForgeError(f"unknown mode {row.get('mode')!r}")
+            _check_keys(row, ROW_KEYS + MODE_KEYS[row["mode"]], (), "row")
+            skip = row.get("skip", [])
+            if not isinstance(skip, list):
+                raise ForgeError(f"'skip' must be a list, not {skip!r}")
+            mode = parse_mode(
+                row["mode"], n_layers, _check_int(row.get("k", 0), "'k'"),
+                _check_int(row.get("m", 0), "'m'"),
+                [_check_int(i, "a 'skip' entry") for i in skip],
+                None if "layer" not in row else _check_int(row["layer"], "'layer'"))
+            cfg = _spec_train_config(row.get("train", {}), "train")
+        except (ForgeError, ValueError) as e:
+            raise ForgeError(f"row {row['label']!r}: {e}") from e
+        if "seed" not in row.get("train", {}):
+            cfg.seed = _check_int(spec.get("seed", 0), "spec 'seed'")
+        plan.append((row, mode, cfg))
+    return plan
 
+
+def cmd_compare(args) -> int:
+    spec = _load_json(args.spec)
+    _check_keys(spec, SPEC_KEYS, SPEC_REQUIRED + (() if args.out else ("out_dir",)), "spec")
+    if not isinstance(spec["rows"], list) or not isinstance(spec["eval_sets"], dict):
+        raise ForgeError("'rows' must be a list and 'eval_sets' an object")
+    pre = spec.get("pretrain")
+    if pre is not None:
+        _check_keys(pre, PRETRAIN_KEYS, ("data",), "pretrain")
+        pre_cfg = _spec_train_config(pre.get("config", {}), "pretrain config")
     model_config = tinylm.ModelConfig(**_load_json(spec["model_config"]))
+    plan = _compare_plan(spec, model_config.n_layers)
+
+    out = Path(args.out or spec["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     if spec.get("start_checkpoint"):
         start = tinylm.load_checkpoint(spec["start_checkpoint"])
     else:
         start = tinylm.init(model_config)
-    if spec.get("pretrain"):
-        pre = spec["pretrain"]
-        pre_cfg = trainer.TrainConfig(**pre.get("config", {}))
+    if pre is not None:
         pre_samples = load_samples(pre["data"], model_config.vocab_size)
         pre_batches = synth.make_batches(pre_samples, pre_cfg.batch_size)
         start = trainer.run(start, pre_batches, trainer.TrainMode.full_finetune(),
@@ -330,29 +417,13 @@ def cmd_compare(args) -> int:
     train_samples = load_samples(spec["train_data"], model_config.vocab_size)
 
     table = []
-    for row in spec["rows"]:
-        cfg = trainer.TrainConfig(**row.get("train", {}))
-        if "seed" not in row.get("train", {}):
-            cfg.seed = spec.get("seed", 0)
-        kind = row["mode"]
-        if kind in ("two-stage", "single-stage"):
-            selection = trainer.select_layers(
-                model_config.n_layers, row.get("k", 0), row.get("m", 0),
-                row.get("skip", ()))
-            mode = (trainer.TrainMode.two_stage(selection) if kind == "two-stage"
-                    else trainer.TrainMode.single_stage(selection))
-        elif kind == "fft":
-            mode = trainer.TrainMode.full_finetune()
-        elif kind == "single-layer":
-            mode = trainer.TrainMode.single_layer(row["layer"])
-        else:
-            raise ForgeError(f"row {row['label']!r}: unknown mode {kind!r}")
+    for row, mode, cfg in plan:
         try:
             batches = synth.make_batches(train_samples, cfg.batch_size)
             result = trainer.run(start, batches, mode, cfg)
         except ForgeError as e:
             raise ForgeError(f"row {row['label']!r}: {e}") from e
-        entry = {"label": row["label"], "mode": kind}
+        entry = {"label": row["label"], "mode": row["mode"]}
         for name, es in eval_sets.items():
             res = synth.evaluate(result.params, es)
             entry[f"{name}_ce"] = res.mean_ce
@@ -406,8 +477,22 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
     return common
 
 
+def _training_flags() -> argparse.ArgumentParser:
+    """Schedule and batching options of `train` and `sweep`; one left
+    unset keeps the --config file's value or the TrainConfig default."""
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--lr-max", type=float, default=None, dest="lr_max")
+    training.add_argument("--lr-min", type=float, default=None, dest="lr_min")
+    training.add_argument("--warmup-ratio", type=float, default=None, dest="warmup_ratio")
+    training.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+    training.add_argument("--grad-accum", type=int, default=None, dest="grad_accum")
+    return training
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags(top_level=False)
+    training = _training_flags()
     parser = argparse.ArgumentParser(prog="forge", parents=[_common_flags(top_level=True)])
     parser.add_argument("--config", default=None,
                         help="JSON file with refinery/train/model defaults "
@@ -449,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="general task: steps drawn from [0, max-step)")
     p.set_defaults(func=cmd_make_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train a model")
+    p = sub.add_parser("train", parents=[common, training], help="train a model")
     p.add_argument("--mode", required=True,
                    help="two-stage | single-stage | fft | single-layer:<l>")
     p.add_argument("--k", type=int, default=0, help="bottom-k layers (stage 1)")
@@ -461,15 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None,
                    help="start from this checkpoint instead of a fresh init")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr-max", type=float, default=None, dest="lr_max")
-    p.add_argument("--lr-min", type=float, default=None, dest="lr_min")
-    p.add_argument("--warmup-ratio", type=float, default=None, dest="warmup_ratio")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--grad-accum", type=int, default=None, dest="grad_accum")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, training],
                        help="train each layer independently and tabulate")
     p.add_argument("--data", required=True)
     p.add_argument("--model-config", default=None)
@@ -477,12 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--eval-translation", default=None)
     p.add_argument("--eval-general", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr-max", type=float, default=None, dest="lr_max")
-    p.add_argument("--lr-min", type=float, default=None, dest="lr_min")
-    p.add_argument("--warmup-ratio", type=float, default=None, dest="warmup_ratio")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--grad-accum", type=int, default=None, dest="grad_accum")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze-gradients", parents=[common],

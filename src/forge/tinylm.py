@@ -354,19 +354,68 @@ def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
     return loss, grads
 
 
-def greedy_decode(params: ModelParams, prompt_ids: list[int], n_tokens: int) -> list[int]:
-    """Greedily extend the prompt by n_tokens (naive re-forward per step)."""
+def _extend(params: ModelParams, tokens: np.ndarray, start: int,
+            keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+    """Run tokens [B,T] at positions start..start+T-1, attending to the
+    cached keys and values of the positions before them. Stores their own
+    K and V in the cache and returns the logits [B,V] of the last one."""
     config = params.config
-    ids = list(prompt_ids)
-    out = []
-    for _ in range(n_tokens):
-        window = ids[-config.max_seq_len:]
-        batch = Batch(ids=np.array([window]), mask=np.zeros((1, len(window))))
-        logits, _ = forward(params, batch)
-        nxt = int(np.argmax(logits[0, -1]))
-        out.append(nxt)
-        ids.append(nxt)
-    return out
+    end = start + tokens.shape[1]
+    x = (params[(None, "tok_emb")][tokens] + params[(None, "pos_emb")][start:end]).astype(params.dtype)
+    future = np.arange(end) > np.arange(start, end)[:, None]
+    scale = 1.0 / math.sqrt(config.head_dim)
+    for layer in range(config.n_layers):
+        normed1, _, _ = _rmsnorm(x, params[(layer, "attn_gain")])
+        q = _split_heads(normed1 @ params[(layer, "W_Q")], config.n_heads)
+        keys[layer][:, :, start:end] = _split_heads(normed1 @ params[(layer, "W_K")], config.n_heads)
+        values[layer][:, :, start:end] = _split_heads(normed1 @ params[(layer, "W_V")], config.n_heads)
+        k, v = keys[layer][:, :, :end], values[layer][:, :, :end]
+        scores = np.where(future, -np.inf, (q @ k.transpose(0, 1, 3, 2)) * scale)
+        x = x + _merge_heads(_softmax(scores) @ v) @ params[(layer, "W_O")]
+        normed2, _, _ = _rmsnorm(x, params[(layer, "mlp_gain")])
+        act, _ = _gelu(normed2 @ params[(layer, "W_1")])
+        x = x + act @ params[(layer, "W_2")]
+    normed_f, _, _ = _rmsnorm(x[:, -1], params[(None, "final_gain")])
+    return normed_f @ params[(None, "tok_emb")].T
+
+
+def decode_batch(params: ModelParams, prompts: np.ndarray, n_tokens: int) -> np.ndarray:
+    """Greedily extend each row of prompts [B,P] (all of one length) by
+    n_tokens; returns the new tokens [B,n_tokens].
+
+    The prompts run through the model once, filling a key/value cache,
+    then each step runs one position per layer against it. Positions are
+    absolute, so once prompt plus output passes max_seq_len every later
+    step re-runs the last max_seq_len tokens from position 0, the window
+    of a full re-forward per step. Logits differ from a full forward
+    only in rounding (other matrix shapes), so what is compared against
+    it is the tokens."""
+    config = params.config
+    prompts = np.asarray(prompts, dtype=np.int64)
+    b, p = prompts.shape
+    ids = np.empty((b, p + n_tokens), dtype=np.int64)
+    ids[:, :p] = prompts
+    if n_tokens == 0:
+        return ids[:, p:]
+    window = prompts[:, -config.max_seq_len:]
+    Batch(ids=window, mask=np.zeros(window.shape)).validate(config)
+    shape = (b, config.n_heads, min(window.shape[1] + n_tokens - 1, config.max_seq_len),
+             config.head_dim)
+    keys = [np.empty(shape, dtype=params.dtype) for _ in range(config.n_layers)]
+    values = [np.empty(shape, dtype=params.dtype) for _ in range(config.n_layers)]
+    ids[:, p] = np.argmax(_extend(params, window, 0, keys, values), axis=-1)
+    for t in range(p + 1, p + n_tokens):
+        if t <= config.max_seq_len:
+            last = _extend(params, ids[:, t - 1:t], t - 1, keys, values)
+        else:
+            last = _extend(params, ids[:, t - config.max_seq_len:t], 0, keys, values)
+        ids[:, t] = np.argmax(last, axis=-1)
+    return ids[:, p:]
+
+
+def greedy_decode(params: ModelParams, prompt_ids: list[int], n_tokens: int) -> list[int]:
+    """Greedily extend one prompt by n_tokens (decode_batch with B=1)."""
+    return decode_batch(params, np.array([prompt_ids], dtype=np.int64), n_tokens)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

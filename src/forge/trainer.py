@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, OverlappingStages
+from .errors import IndexOutOfRange, NonFiniteInput, OverlappingStages
 from .synth import EvalResult, EvalSet, evaluate
 from .tinylm import (
     Batch,
@@ -205,6 +205,18 @@ def _epoch_order(n_batches: int, seed: int, epoch: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n_batches)
 
 
+def _check_finite(params: ModelParams, grads: dict[ParamKey, np.ndarray],
+                  trainable: set[ParamKey], losses: list[float], stage: str, step: int) -> None:
+    """Raise before an update that would write NaN or infinity into the
+    parameters or the optimizer moments. Frozen tensors are never updated,
+    so only the trainable gradients are checked."""
+    if not np.isfinite(losses).all():
+        raise NonFiniteInput(f"{stage} step {step}: non-finite loss {losses}")
+    for key in params.keys():
+        if key in trainable and not np.isfinite(grads[key]).all():
+            raise NonFiniteInput(f"{stage} step {step}: non-finite gradient for {key}")
+
+
 def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKey],
                config: TrainConfig, stage: str, log: list[dict]) -> None:
     steps_per_epoch = math.ceil(len(batches) / config.grad_accum)
@@ -227,6 +239,7 @@ def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKe
                         acc[key] += grads[key]
             for key in acc:
                 acc[key] /= len(window)
+            _check_finite(params, acc, trainable, losses, stage, step)
             lr = lr_at(step, total_steps, config)
             optimizer_step(params, acc, state, trainable, lr, config)
             log.append({"stage": stage, "step": step, "lr": lr,

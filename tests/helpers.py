@@ -13,6 +13,7 @@ import numpy as np
 
 from forge.records import ParallelRecord
 from forge.refinery import RefineryConfig, hamming, record_signature
+from forge.tinylm import Batch, forward
 
 
 def fnv1a64_reference(data: bytes) -> int:
@@ -81,6 +82,21 @@ def brute_force_dedup(records, config: RefineryConfig):
         kept.append(record)
         kept_sigs.append(sig)
     return kept, dropped
+
+
+def greedy_decode_reference(params, prompt_ids, n_tokens: int) -> list[int]:
+    """Greedy decoding by a full re-forward per step over the last
+    max_seq_len tokens, B=1 and no cache."""
+    ids = list(prompt_ids)
+    out = []
+    for _ in range(n_tokens):
+        window = ids[-params.config.max_seq_len:]
+        batch = Batch(ids=np.array([window]), mask=np.zeros((1, len(window))))
+        logits, _ = forward(params, batch)
+        nxt = int(np.argmax(logits[0, -1]))
+        out.append(nxt)
+        ids.append(nxt)
+    return out
 
 
 def svd_nuclear_norm(matrix) -> float:

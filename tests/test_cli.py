@@ -246,6 +246,78 @@ def test_compare_duplicate_labels_rejected(tmp_path, capsys):
     assert "unique" in capsys.readouterr().err
 
 
+def _compare_spec(tmp_path, last_row, **top_level):
+    assert main(["make-synth", "--task", "translation", "--n", "40", "--seed", "1",
+                 "--out", str(tmp_path / "synth")]) == 0
+    model = _write_model_config(tmp_path)
+    spec = {"model_config": str(model), "train_data": str(tmp_path / "synth"),
+            "pretrain": {"data": str(tmp_path / "synth"), "config": {"epochs": 1}},
+            "eval_sets": {}, "out_dir": str(tmp_path / "cmp"),
+            "rows": [{"label": "fft", "mode": "fft", "train": {"epochs": 1}},
+                     {"label": "one", "mode": "single-layer", "layer": 1},
+                     last_row]}
+    spec.update(top_level)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("last_row, top_level, message", [
+    ({"label": "x", "mode": "frobnicate"}, {}, "unknown mode"),
+    ({"label": "x", "mode": "single-layer"}, {}, "needs a layer"),
+    ({"label": "x", "mode": "single-layer", "layer": 9}, {}, "outside"),
+    ({"label": "x", "mode": "two-stage", "k": 3, "m": 3}, {}, "overlap"),
+    ({"label": "x", "mode": "two-stage", "k": "1", "m": 1}, {}, "'k' must be an integer"),
+    ({"label": "x", "mode": "fft", "k": 1}, {}, "unknown row key 'k'"),
+    ({"label": "x", "mode": "fft", "train": {"lr": 1e-3}}, {}, "unknown train key 'lr'"),
+    ({"label": "x", "mode": "fft", "train": {"epochs": 0}}, {}, "epochs"),
+    ({"mode": "fft"}, {}, "needs a label"),
+    ({"label": "x", "mode": "fft", "train": []}, {}, "train must be an object"),
+    ({"label": "x", "mode": "fft"}, {"rowz": []}, "unknown spec key 'rowz'"),
+    ({"label": "x", "mode": "fft"}, {"pretrain": {"config": {}}}, "'data'"),
+    ({"label": "x", "mode": "fft"}, {"pretrain": {"data": "d", "config": {"seed": 1.5}}},
+     "'seed' must be an integer"),
+])
+def test_compare_rejects_a_bad_spec_before_any_training(
+        tmp_path, capsys, monkeypatch, last_row, top_level, message):
+    from forge import trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the spec was checked")
+    monkeypatch.setattr(trainer, "run", no_training)
+    spec_path = _compare_spec(tmp_path, last_row, **top_level)
+    assert main(["compare", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_needs_the_spec_keys(tmp_path, capsys):
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"})
+    spec = json.loads(spec_path.read_text())
+    del spec["train_data"]
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["compare", "--spec", str(spec_path)]) == 1
+    assert "missing spec key 'train_data'" in capsys.readouterr().err
+
+
+TRAINING_FLAGS = ["--epochs", "2", "--lr-max", "1e-3", "--lr-min", "1e-4",
+                  "--warmup-ratio", "0.1", "--batch-size", "4", "--grad-accum", "3"]
+TRAINING_DESTS = ("epochs", "lr_max", "lr_min", "warmup_ratio", "batch_size", "grad_accum")
+
+
+def test_train_and_sweep_share_the_training_options():
+    parser = build_parser()
+    train = ["train", "--mode", "fft", "--data", "d", "--out", "o"]
+    sweep = ["sweep", "--data", "d", "--out", "o"]
+    for given, want in (([], (None,) * 6), (TRAINING_FLAGS, (2, 1e-3, 1e-4, 0.1, 4, 3))):
+        for argv in (train, sweep):
+            args = parser.parse_args(argv + given)
+            got = tuple(getattr(args, dest) for dest in TRAINING_DESTS)
+            assert got == want and [type(v) for v in got] == [type(v) for v in want], argv
+
+
 def test_refine_with_subprocess_scorer_matches_sidecar(
         tmp_path, fixture_paths, stub_scorer_script):
     """Criterion 10 at the CLI surface: a subprocess scorer that serves

@@ -1,6 +1,8 @@
 """Synthetic task generators, batching/masking, and evaluation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge.records import ParallelRecord
 from forge.synth import (
@@ -13,6 +15,7 @@ from forge.synth import (
     Sample,
     SynthLangSpec,
     apply_mapping,
+    decode_responses,
     evaluate,
     gen_general_corpus,
     gen_translation_corpus,
@@ -24,7 +27,8 @@ from forge.synth import (
 )
 from forge.tinylm import ModelConfig, init
 
-from helpers import params_digest
+from helpers import greedy_decode_reference, params_digest
+from reference_run import build_reference
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=32, init_seed=1)
@@ -159,6 +163,45 @@ def test_evaluate_memorized_sample_exact_match():
     result = evaluate(params, EvalSet("memorize", [sample]))
     assert result.exact_match == 1.0
     assert result.mean_ce < 0.05
+
+
+_MIXED = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=10,
+                     max_seq_len=12, init_seed=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 6), st.booleans()),
+                       min_size=1, max_size=12),
+       batch_size=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_evaluate_decodes_mixed_lengths_like_the_reference(shapes, batch_size, seed):
+    """Prompt lengths group the samples and batch_size splits the groups;
+    a sample marked True gets the reference's own output as its response,
+    so exact match is exercised both ways."""
+    params = init(_MIXED)
+    rng = np.random.default_rng(seed)
+    samples = []
+    for p, r, matching in shapes:
+        prompt = tuple(int(t) for t in rng.integers(0, _MIXED.vocab_size, p))
+        response = (greedy_decode_reference(params, prompt, r) if matching
+                    else rng.integers(0, _MIXED.vocab_size, r).tolist())
+        samples.append(Sample(prompt=prompt, response=tuple(response)))
+    want = [tuple(greedy_decode_reference(params, s.prompt, len(s.response)))
+            for s in samples]
+    assert decode_responses(params, samples, batch_size) == want
+    result = evaluate(params, EvalSet("mixed", samples), batch_size)
+    matches = sum(w == s.response for w, s in zip(want, samples))
+    assert result.exact_match == matches / len(samples)
+
+
+def test_reference_evaluations_decode_like_the_reference():
+    """Every sample of the six evaluations of the reference run; the
+    build is cached, so this shares the acceptance criteria's."""
+    reference = build_reference()
+    for params in (reference.start, reference.two_stage.params, reference.fft.params):
+        for eval_set in (reference.translation_eval, reference.general_eval):
+            want = [tuple(greedy_decode_reference(params, s.prompt, len(s.response)))
+                    for s in eval_set.samples]
+            assert decode_responses(params, eval_set.samples) == want
 
 
 # ---------------------------------------------------------------------------

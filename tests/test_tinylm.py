@@ -2,6 +2,9 @@
 gradient oracle, param-path enumeration, and the checkpoint codec."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from forge.errors import AllMasked
 from forge.tinylm import (
@@ -9,6 +12,7 @@ from forge.tinylm import (
     GLOBAL_TENSORS,
     LAYER_TENSORS,
     ModelConfig,
+    decode_batch,
     forward,
     greedy_decode,
     init,
@@ -19,7 +23,7 @@ from forge.tinylm import (
     save_checkpoint,
 )
 
-from helpers import params_digest
+from helpers import greedy_decode_reference, params_digest
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=16, init_seed=7)
@@ -183,6 +187,42 @@ def test_greedy_decode_deterministic():
     out2 = greedy_decode(params, [1, 2, 3], 5)
     assert out1 == out2 and len(out1) == 5
     assert all(0 <= t < CFG.vocab_size for t in out1)
+
+
+@st.composite
+def _decode_cases(draw):
+    """A small random model and a [B,P] prompt batch; prompts may be
+    longer than max_seq_len, and prompt plus output may pass it."""
+    n_heads = draw(st.integers(1, 2))
+    config = ModelConfig(n_layers=draw(st.integers(1, 2)),
+                         d_model=n_heads * draw(st.integers(1, 4)), n_heads=n_heads,
+                         d_ff=draw(st.integers(1, 12)), vocab_size=draw(st.integers(2, 16)),
+                         max_seq_len=draw(st.integers(1, 8)),
+                         init_seed=draw(st.integers(0, 2**16)))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 11)))
+    prompts = draw(arrays(np.int64, shape, elements=st.integers(0, config.vocab_size - 1)))
+    return config, prompts, draw(st.integers(0, 12))
+
+
+_SMALL = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=8, vocab_size=12,
+                     max_seq_len=6, init_seed=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_decode_cases(), dtype=st.sampled_from([np.float32, np.float64]))
+@example(case=(_SMALL, np.array([[3, 1, 4]]), 0), dtype=np.float32)  # nothing to decode
+@example(case=(_SMALL, np.array([[3, 1, 4], [1, 5, 9]]), 1), dtype=np.float32)  # prompt pass only
+@example(case=(_SMALL, np.array([[3, 1], [4, 1], [5, 9]]), 9), dtype=np.float32)  # window slides
+@example(case=(_SMALL, np.arange(18).reshape(2, 9) % 12, 4), dtype=np.float64)  # prompt > window
+def test_decode_batch_matches_the_reference_decoder(case, dtype):
+    config, prompts, n_tokens = case
+    params = init(config, dtype)
+    out = decode_batch(params, prompts, n_tokens)
+    assert out.shape == (len(prompts), n_tokens)
+    for prompt, row in zip(prompts, out):
+        assert row.tolist() == greedy_decode_reference(params, prompt.tolist(), n_tokens)
+    if len(prompts) == 1:
+        assert greedy_decode(params, prompts[0].tolist(), n_tokens) == out[0].tolist()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from forge.errors import IndexOutOfRange, OverlappingStages
+from forge import trainer
+from forge.errors import IndexOutOfRange, NonFiniteInput, OverlappingStages
 from forge.synth import SynthLangSpec, gen_general_corpus, gen_translation_corpus, make_batches
 from forge.tinylm import Batch, ModelConfig, global_keys, init, layer_keys
 from forge.trainer import (
@@ -274,6 +275,40 @@ def test_run_log_contract():
     assert [e["step"] for e in steps] == list(range(len(steps)))
     assert all(np.isfinite(e["loss"]) and e["lr"] > 0 for e in steps)
     assert result.wall_clock >= 0
+
+
+def test_nan_loss_fails_the_stage_before_the_update():
+    start = init(CFG)
+    start[(0, "W_1")][0, 0] = np.nan  # frozen in stage 2, but every loss is NaN
+    sel = select_layers(CFG.n_layers, 0, 1)
+    with pytest.raises(NonFiniteInput, match=r"stage2.*step 0.*loss"):
+        run(start, _small_batches(n=8), TrainMode.two_stage(sel),
+            TrainConfig(lr_max=1e-3, lr_min=1e-4, epochs=1, batch_size=4, seed=5))
+
+
+def _loss_and_backward_with(bad_key, value):
+    real = trainer.loss_and_backward
+
+    def patched(params, batch):
+        loss, grads = real(params, batch)
+        grads[bad_key][...] = value
+        return loss, grads
+    return patched
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_trainable_gradient_fails_the_step(monkeypatch, value):
+    monkeypatch.setattr(trainer, "loss_and_backward", _loss_and_backward_with((2, "W_V"), value))
+    with pytest.raises(NonFiniteInput, match=r"layer2 step 0.*\(2, 'W_V'\)"):
+        run(init(CFG), _small_batches(n=8), TrainMode.single_layer(2),
+            TrainConfig(lr_max=1e-3, lr_min=1e-4, epochs=1, batch_size=4, seed=5))
+
+
+def test_non_finite_frozen_gradient_is_ignored(monkeypatch):
+    monkeypatch.setattr(trainer, "loss_and_backward", _loss_and_backward_with((1, "W_V"), np.nan))
+    result = run(init(CFG), _small_batches(n=8), TrainMode.single_layer(2),
+                 TrainConfig(lr_max=1e-3, lr_min=1e-4, epochs=1, batch_size=4, seed=5))
+    assert all(np.isfinite(result.params[key]).all() for key in result.params.keys())
 
 
 # ---------------------------------------------------------------------------
