@@ -161,24 +161,21 @@ def _load_model(args) -> tinylm.ModelParams:
         return tinylm.load_checkpoint(args.checkpoint)
     defaults = _global_defaults(args)
     if getattr(args, "model_config", None):
-        cfg = tinylm.ModelConfig(**_load_json(args.model_config))
+        cfg = tinylm.ModelConfig.from_dict(_load_json(args.model_config), args.model_config)
     elif "model" in defaults:
-        cfg = tinylm.ModelConfig(**defaults["model"])
+        cfg = tinylm.ModelConfig.from_dict(defaults["model"], f"{args.config} 'model'")
     else:
         raise ForgeError("need --model-config or --checkpoint")
     return tinylm.init(cfg)
 
 
 def _train_config(args) -> trainer.TrainConfig:
-    defaults = _global_defaults(args).get("train", {})
-    config = trainer.TrainConfig(**defaults)
-    for name in ("lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    return config
+    """The --config file's train section with the command-line options
+    over it; both are checked by TrainConfig, the file's keys first."""
+    config = _spec_train_config(_global_defaults(args).get("train", {}), "config 'train'")
+    options = {name: getattr(args, name, None) for name in (
+        "lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")}
+    return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
 def parse_mode(mode: str, n_layers: int, k: int = 0, m: int = 0, skip=(),
@@ -232,7 +229,31 @@ def cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep (its table writer is shared with compare)
+
+def _eval_columns(names) -> list[str]:
+    return [f"{name}_{metric}" for name in sorted(names) for metric in ("ce", "em")]
+
+
+def _eval_cells(results: dict[str, synth.EvalResult]) -> dict:
+    cells = {}
+    for name, res in results.items():
+        cells[f"{name}_ce"] = res.mean_ce
+        cells[f"{name}_em"] = res.exact_match
+    return cells
+
+
+def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """Write rows as CSV with the given columns, and print it. Floats are
+    written with repr, so they read back exactly."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                              for c in columns))
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    print(text, end="")
+
 
 def cmd_sweep(args) -> int:
     params = _load_model(args)
@@ -257,17 +278,8 @@ def cmd_sweep(args) -> int:
                                       workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = sorted(eval_sets)
-    header = "layer," + ",".join(f"{n}_ce,{n}_em" for n in names)
-    lines = [header]
-    for row in rows:
-        cells = [str(row.layer)]
-        for name in names:
-            res = row.results[name]
-            cells.extend([repr(res.mean_ce), repr(res.exact_match)])
-        lines.append(",".join(cells))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
+    _write_table(out / "sweep.csv", ["layer"] + _eval_columns(eval_sets),
+                 [{"layer": row.layer, **_eval_cells(row.results)} for row in rows])
     return 0
 
 
@@ -392,7 +404,8 @@ def cmd_compare(args) -> int:
     if pre is not None:
         _check_keys(pre, PRETRAIN_KEYS, ("data",), "pretrain")
         pre_cfg = _spec_train_config(pre.get("config", {}), "pretrain config")
-    model_config = tinylm.ModelConfig(**_load_json(spec["model_config"]))
+    model_config = tinylm.ModelConfig.from_dict(_load_json(spec["model_config"]),
+                                                spec["model_config"])
     plan = _compare_plan(spec, model_config.n_layers)
 
     out = Path(args.out or spec["out_dir"])
@@ -423,37 +436,23 @@ def cmd_compare(args) -> int:
             result = trainer.run(start, batches, mode, cfg)
         except ForgeError as e:
             raise ForgeError(f"row {row['label']!r}: {e}") from e
-        entry = {"label": row["label"], "mode": row["mode"]}
-        for name, es in eval_sets.items():
-            res = synth.evaluate(result.params, es)
-            entry[f"{name}_ce"] = res.mean_ce
-            entry[f"{name}_em"] = res.exact_match
+        entry = {"label": row["label"], "mode": row["mode"], **_eval_cells(
+            {name: synth.evaluate(result.params, es) for name, es in eval_sets.items()})}
         if "general" in eval_sets:
             entry["delta_general_ce"] = entry["general_ce"] - start_evals["general"].mean_ce
         table.append(entry)
 
-    start_row = {"label": "start", "mode": "none"}
-    for name, res in start_evals.items():
-        start_row[f"{name}_ce"] = res.mean_ce
-        start_row[f"{name}_em"] = res.exact_match
+    start_row = {"label": "start", "mode": "none", **_eval_cells(start_evals)}
     if "general" in eval_sets:
         start_row["delta_general_ce"] = 0.0
 
     full_table = [start_row] + table
-    columns = ["label", "mode"]
-    for name in sorted(eval_sets):
-        columns.extend([f"{name}_ce", f"{name}_em"])
+    columns = ["label", "mode"] + _eval_columns(eval_sets)
     if "general" in eval_sets:
         columns.append("delta_general_ce")
-    csv_lines = [",".join(columns)]
-    for entry in full_table:
-        csv_lines.append(",".join(
-            repr(entry[c]) if isinstance(entry[c], float) else str(entry[c])
-            for c in columns))
-    (out / "compare.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    _write_table(out / "compare.csv", columns, full_table)
     (out / "compare.json").write_text(json.dumps(full_table, indent=2),
                                       encoding="utf-8")
-    print("\n".join(csv_lines))
     return 0
 
 

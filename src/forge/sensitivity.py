@@ -168,14 +168,14 @@ def layer_gradient_report(params: ModelParams, batches: list[Batch],
     if accumulate:
         acc = None
         for batch in batches:
-            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale)
+            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
             stack = np.stack([grads[key] for key in keys])
             acc = stack if acc is None else acc + stack
         values = nuclear_norms(acc)
     else:
         values = np.zeros(len(keys))
         for batch in batches:
-            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale)
+            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
             values += nuclear_norms(np.stack([grads[key] for key in keys]))
         values /= len(batches)
     norms = dict(zip(keys, values.tolist()))

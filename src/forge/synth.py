@@ -220,7 +220,7 @@ def evaluate(params: ModelParams, eval_set: EvalSet, batch_size: int = 32
     total_nll = 0.0
     total_tokens = 0
     for batch in make_batches(eval_set.samples, batch_size):
-        logits, _ = forward(params, batch)
+        logits, _ = forward(params, batch, keep=False)
         pred = logits[:, :-1, :]
         targets = batch.ids[:, 1:]
         shifted = pred - np.max(pred, axis=-1, keepdims=True)

@@ -5,12 +5,18 @@ selective tuning and gradient analysis are first-class. Pre-norm residual
 blocks, causal multi-head attention, GELU MLP, RMS norms with learned
 gains, learned absolute positions, input/output embeddings tied.
 
-Backward always populates gradients for every parameter; freezing is the
-optimizer's job. Default dtype is float32; pass float64 for
-high-precision gradient checks.
+The block math is written once, in block_forward and block_backward;
+the training forward, the cache-free forward of evaluation and the
+key/value-cached decoder all run it. Backward computes the gradients of
+a needed set of parameters (all by default) and skips the work that
+feeds only the others, and it can start from the residual stream at a
+block boundary instead of the embeddings. A frozen block below every
+trained one then costs at most its forward pass. Default dtype is
+float32; pass float64 for high-precision gradient checks.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .errors import AllMasked
+from .errors import AllMasked, ForgeError
 
 NORM_EPS = 1e-6
 _SQRT2 = math.sqrt(2.0)
@@ -27,6 +33,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_TENSORS = ("attn_gain", "W_Q", "W_K", "W_V", "W_O", "mlp_gain", "W_1", "W_2")
 GLOBAL_TENSORS = ("tok_emb", "pos_emb", "final_gain")
+# The order in which block_backward reaches a block's gradients.
+_BACKWARD_ORDER = ("W_2", "W_1", "mlp_gain", "W_O", "W_Q", "W_K", "W_V", "attn_gain")
 
 ParamKey = tuple[int | None, str]  # (layer index, name); None = global
 
@@ -42,11 +50,11 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
 
     @property
     def head_dim(self) -> int:
@@ -56,8 +64,27 @@ class ModelConfig:
         return json.dumps(self.__dict__, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ModelConfig":
-        return cls(**json.loads(text))
+    def from_dict(cls, obj, source: str) -> "ModelConfig":
+        """The checked reader of a model config read from source (a config
+        file, an experiment spec's model file, a checkpoint manifest): an
+        object with an integer for every field that has no default, an
+        optional integer init_seed, and no other key."""
+        if not isinstance(obj, dict):
+            raise ForgeError(f"{source}: a model config must be an object, not {obj!r}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        for key, value in obj.items():
+            if key not in fields:
+                raise ForgeError(f"{source}: unknown model config key {key!r}")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ForgeError(f"{source}: model config key {key!r} must be an integer, "
+                                 f"not {value!r}")
+        for name, f in fields.items():
+            if name not in obj and f.default is dataclasses.MISSING:
+                raise ForgeError(f"{source}: missing model config key {name!r}")
+        try:
+            return cls(**obj)
+        except ValueError as e:
+            raise ForgeError(f"{source}: {e}") from e
 
 
 def param_paths(config: ModelConfig) -> list[tuple[int | None, str, tuple[int, ...]]]:
@@ -143,10 +170,6 @@ def init(config: ModelConfig, dtype=np.float32) -> ModelParams:
     return ModelParams(config, tensors)
 
 
-def zero_grads(params: ModelParams) -> dict[ParamKey, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.tensors.items()}
-
-
 @dataclass
 class Batch:
     """Token ids [B,T] plus a loss mask [B,T]; mask=1 marks supervised
@@ -210,50 +233,138 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def forward(params: ModelParams, batch: Batch) -> tuple[np.ndarray, dict]:
-    """Run the model; returns logits [B,T,V] and the activation cache
-    needed by the backward pass (attention probs under key 'probs')."""
+def embed(params: ModelParams, ids: np.ndarray, start: int = 0) -> np.ndarray:
+    """The residual stream [B,T,d] entering block 0 for token ids [B,T]
+    at positions start..start+T-1."""
+    pos = params[(None, "pos_emb")][start:start + ids.shape[1]]
+    return (params[(None, "tok_emb")][ids] + pos).astype(params.dtype)
+
+
+def block_forward(params: ModelParams, layer: int, x: np.ndarray, start: int = 0,
+                  kv: tuple[np.ndarray, np.ndarray] | None = None,
+                  cache: dict | None = None) -> np.ndarray:
+    """Block `layer` on the residual stream x [B,T,d] at positions
+    start..start+T-1; returns the stream after it.
+
+    Without kv the positions attend among themselves (start must be 0).
+    With kv, a pair of [B,H,S,dh] key and value arrays, their own K and V
+    are stored at start..start+T-1 and they attend to everything cached
+    up to them. A cache dict receives the activations block_backward
+    needs."""
     config = params.config
-    batch.validate(config)
-    ids = batch.ids
-    b, t = ids.shape
-    dtype = params.dtype
-
-    x = (params[(None, "tok_emb")][ids] + params[(None, "pos_emb")][:t]).astype(dtype)
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
+    end = start + x.shape[1]
+    normed1, xhat1, r1 = _rmsnorm(x, params[(layer, "attn_gain")])
+    q = _split_heads(normed1 @ params[(layer, "W_Q")], config.n_heads)
+    k = _split_heads(normed1 @ params[(layer, "W_K")], config.n_heads)
+    v = _split_heads(normed1 @ params[(layer, "W_V")], config.n_heads)
+    if kv is not None:
+        keys, values = kv
+        keys[:, :, start:end] = k
+        values[:, :, start:end] = v
+        k, v = keys[:, :, :end], values[:, :, :end]
+    future = np.arange(end) > np.arange(start, end)[:, None]
     scale = 1.0 / math.sqrt(config.head_dim)
+    scores = np.where(future, -np.inf, (q @ k.transpose(0, 1, 3, 2)) * scale)
+    probs = _softmax(scores)
+    z = _merge_heads(probs @ v)
+    x = x + z @ params[(layer, "W_O")]
+    normed2, xhat2, r2 = _rmsnorm(x, params[(layer, "mlp_gain")])
+    pre = normed2 @ params[(layer, "W_1")]
+    act, cdf = _gelu(pre)
+    if cache is not None:
+        cache.update(normed1=normed1, xhat1=xhat1, r1=r1, q=q, k=k, v=v, probs=probs, z=z,
+                     normed2=normed2, xhat2=xhat2, r2=r2, pre=pre, act=act, cdf=cdf)
+    return x + act @ params[(layer, "W_2")]
 
-    cache: dict = {"x0": x, "layers": [], "probs": []}
-    for layer in range(config.n_layers):
-        lc: dict = {"x_in": x}
-        normed1, xhat1, r1 = _rmsnorm(x, params[(layer, "attn_gain")])
-        lc.update(normed1=normed1, xhat1=xhat1, r1=r1)
 
-        q = _split_heads(normed1 @ params[(layer, "W_Q")], config.n_heads)
-        k = _split_heads(normed1 @ params[(layer, "W_K")], config.n_heads)
-        v = _split_heads(normed1 @ params[(layer, "W_V")], config.n_heads)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-        scores = np.where(causal, -np.inf, scores)
-        probs = _softmax(scores)
-        z = _merge_heads(probs @ v)
-        attn_out = z @ params[(layer, "W_O")]
-        lc.update(q=q, k=k, v=v, probs=probs, z=z)
-        cache["probs"].append(probs)
+def block_backward(params: ModelParams, layer: int, lc: dict, dy: np.ndarray,
+                   need: set[ParamKey], below: bool, grads: dict[ParamKey, np.ndarray]
+                   ) -> np.ndarray | None:
+    """Backward through block `layer` from the gradient dy at its output,
+    given the activations block_forward cached in lc. Stores the gradients
+    of the layer's tensors in need into grads and returns the gradient at
+    the block input, or None unless below. A step whose result feeds
+    nothing asked for is skipped."""
+    config = params.config
+    d, f = config.d_model, config.d_ff
+    # the last step of _BACKWARD_ORDER (len() for the block input) needed
+    depth = len(_BACKWARD_ORDER) if below else max(
+        (i for i, name in enumerate(_BACKWARD_ORDER) if (layer, name) in need), default=-1)
 
-        x = x + attn_out
-        lc["x_mid"] = x
-        normed2, xhat2, r2 = _rmsnorm(x, params[(layer, "mlp_gain")])
-        pre = normed2 @ params[(layer, "W_1")]
-        act, cdf = _gelu(pre)
-        mlp_out = act @ params[(layer, "W_2")]
-        lc.update(normed2=normed2, xhat2=xhat2, r2=r2, pre=pre, act=act, cdf=cdf)
-        x = x + mlp_out
-        cache["layers"].append(lc)
+    # MLP branch
+    if (layer, "W_2") in need:
+        grads[(layer, "W_2")] = lc["act"].reshape(-1, f).T @ dy.reshape(-1, d)
+    if depth < 1:
+        return None
+    dpre = _gelu_backward(dy @ params[(layer, "W_2")].T, lc["pre"], lc["cdf"])
+    if (layer, "W_1") in need:
+        grads[(layer, "W_1")] = lc["normed2"].reshape(-1, d).T @ dpre.reshape(-1, f)
+    if depth < 2:
+        return None
+    dx_mid, dgain2 = _rmsnorm_backward(dpre @ params[(layer, "W_1")].T,
+                                       params[(layer, "mlp_gain")], lc["xhat2"], lc["r2"])
+    if (layer, "mlp_gain") in need:
+        grads[(layer, "mlp_gain")] = dgain2
+    if depth < 3:
+        return None
+    dx = dy + dx_mid
 
+    # attention branch
+    if (layer, "W_O") in need:
+        grads[(layer, "W_O")] = lc["z"].reshape(-1, d).T @ dx.reshape(-1, d)
+    if depth < 4:
+        return None
+    scale = 1.0 / math.sqrt(config.head_dim)
+    probs = lc["probs"]
+    dz = _split_heads(dx @ params[(layer, "W_O")].T, config.n_heads)
+    dprobs = dz @ lc["v"].transpose(0, 1, 3, 2)
+    dv = probs.transpose(0, 1, 3, 2) @ dz
+    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    dq = (dscores @ lc["k"]) * scale
+    dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
+    dqkv = {"W_Q": _merge_heads(dq), "W_K": _merge_heads(dk), "W_V": _merge_heads(dv)}
+    normed1_flat = lc["normed1"].reshape(-1, d)
+    for name, g in dqkv.items():
+        if (layer, name) in need:
+            grads[(layer, name)] = normed1_flat.T @ g.reshape(-1, d)
+    if depth < 7:
+        return None
+    dnormed1 = (dqkv["W_Q"] @ params[(layer, "W_Q")].T
+                + dqkv["W_K"] @ params[(layer, "W_K")].T
+                + dqkv["W_V"] @ params[(layer, "W_V")].T)
+    dx_in, dgain1 = _rmsnorm_backward(dnormed1, params[(layer, "attn_gain")],
+                                      lc["xhat1"], lc["r1"])
+    if (layer, "attn_gain") in need:
+        grads[(layer, "attn_gain")] = dgain1
+    return dx + dx_in if below else None
+
+
+def _forward(params: ModelParams, x: np.ndarray, first: int, keep_from: int | None
+             ) -> tuple[np.ndarray, dict | None]:
+    """Blocks first.. on the residual stream x entering block first, then
+    the tied head. The cache holds the activations of blocks keep_from..
+    and of the head; keep_from=None keeps none."""
+    config = params.config
+    cache = None if keep_from is None else {"layers": {}, "probs": []}
+    for layer in range(first, config.n_layers):
+        lc = None
+        if cache is not None and layer >= keep_from:
+            lc = cache["layers"][layer] = {}
+        x = block_forward(params, layer, x, cache=lc)
+        if lc is not None:
+            cache["probs"].append(lc["probs"])
     normed_f, xhat_f, r_f = _rmsnorm(x, params[(None, "final_gain")])
-    cache.update(x_final=x, normed_f=normed_f, xhat_f=xhat_f, r_f=r_f)
-    logits = normed_f @ params[(None, "tok_emb")].T
-    return logits, cache
+    if cache is not None:
+        cache.update(x_final=x, normed_f=normed_f, xhat_f=xhat_f, r_f=r_f)
+    return normed_f @ params[(None, "tok_emb")].T, cache
+
+
+def forward(params: ModelParams, batch: Batch, keep: bool = True) -> tuple[np.ndarray, dict | None]:
+    """Run the model; returns logits [B,T,V] and the activation cache
+    needed by the backward pass (attention probs under key 'probs'), or
+    None in place of the cache when keep is false."""
+    batch.validate(params.config)
+    return _forward(params, embed(params, batch.ids), 0, 0 if keep else None)
 
 
 def masked_positions(batch: Batch) -> np.ndarray:
@@ -261,23 +372,42 @@ def masked_positions(batch: Batch) -> np.ndarray:
     return batch.mask[:, 1:].astype(bool)
 
 
-def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
+def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0,
+                      need=None, boundary: tuple[int, np.ndarray] | None = None
                       ) -> tuple[float, dict[ParamKey, np.ndarray]]:
-    """Mean masked next-token cross-entropy plus gradients for ALL
-    parameters (freezing is the optimizer's concern, and the sensitivity
-    analysis needs gradients on frozen layers too)."""
-    config = params.config
-    logits, cache = forward(params, batch)
-    ids = batch.ids
-    b, t = ids.shape
-    dtype = params.dtype
+    """Mean masked next-token cross-entropy plus the gradients of the
+    parameters in need (default: all of them), keyed like params.
 
+    Work that feeds only gradients outside need is skipped: the weight
+    gradients of other tensors, the embedding gradients unless an
+    embedding is needed, and the backward chain below the lowest block
+    needed. A boundary (layer, x) gives the residual stream x entering
+    block layer, as these parameters' embeddings and lower blocks would
+    compute it; the forward pass then starts there, so nothing below
+    layer may be needed. The results are bit-identical to those of the
+    full pass."""
+    config = params.config
+    batch.validate(config)
+    keys = params.keys()
+    need = set(keys) if need is None else set(need)
+    if not need <= set(keys):
+        raise ValueError(f"no such parameters: {sorted(need - set(keys), key=str)}")
+    ids = batch.ids
+    t = ids.shape[1]
     if t < 2:
         raise AllMasked("sequence too short to supervise any position")
     m = masked_positions(batch)
     n_masked = int(m.sum())
     if n_masked == 0:
         raise AllMasked("loss mask selects no position")
+
+    embeddings = bool(need & {(None, "tok_emb"), (None, "pos_emb")})
+    stop = 0 if embeddings else min(
+        (layer for layer, _ in need if layer is not None), default=config.n_layers)
+    first, x = (0, embed(params, ids)) if boundary is None else boundary
+    if first > stop:
+        raise ValueError(f"a boundary at block {first} cannot give gradients below it")
+    logits, cache = _forward(params, x, first, stop)
 
     pred = logits[:, :-1, :]
     targets = ids[:, 1:]
@@ -286,6 +416,8 @@ def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
     target_logit = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
     nll = logz - target_logit
     loss = float(np.sum(nll * m) / n_masked) * loss_scale
+    if not need:
+        return loss, {}
 
     probs = np.exp(shifted - logz[..., None])
     dpred = probs
@@ -296,85 +428,38 @@ def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
     dlogits = np.zeros_like(logits)
     dlogits[:, :-1, :] = dpred
 
-    grads = zero_grads(params)
+    grads: dict[ParamKey, np.ndarray] = {}
     emb = params[(None, "tok_emb")]
 
     # head (tied embedding) and final norm
     dnormed_f = dlogits @ emb
-    grads[(None, "tok_emb")] += np.einsum("btv,btd->vd", dlogits, cache["normed_f"])
+    if (None, "tok_emb") in need:
+        grads[(None, "tok_emb")] = np.einsum("btv,btd->vd", dlogits, cache["normed_f"])
     dx, dgain_f = _rmsnorm_backward(dnormed_f, params[(None, "final_gain")],
                                     cache["xhat_f"], cache["r_f"])
-    grads[(None, "final_gain")] += dgain_f
+    grads[(None, "final_gain")] = dgain_f
 
-    scale = 1.0 / math.sqrt(config.head_dim)
-    for layer in range(config.n_layers - 1, -1, -1):
-        lc = cache["layers"][layer]
-
-        # MLP branch
-        dmlp_out = dx
-        grads[(layer, "W_2")] += lc["act"].reshape(-1, config.d_ff).T @ \
-            dmlp_out.reshape(-1, config.d_model)
-        dact = dmlp_out @ params[(layer, "W_2")].T
-        dpre = _gelu_backward(dact, lc["pre"], lc["cdf"])
-        grads[(layer, "W_1")] += lc["normed2"].reshape(-1, config.d_model).T @ \
-            dpre.reshape(-1, config.d_ff)
-        dnormed2 = dpre @ params[(layer, "W_1")].T
-        dx_mid, dgain2 = _rmsnorm_backward(dnormed2, params[(layer, "mlp_gain")],
-                                           lc["xhat2"], lc["r2"])
-        grads[(layer, "mlp_gain")] += dgain2
-        dx = dx + dx_mid
-
-        # attention branch
-        dattn_out = dx
-        grads[(layer, "W_O")] += lc["z"].reshape(-1, config.d_model).T @ \
-            dattn_out.reshape(-1, config.d_model)
-        dz = _split_heads(dattn_out @ params[(layer, "W_O")].T, config.n_heads)
-        dprobs = dz @ lc["v"].transpose(0, 1, 3, 2)
-        dv = lc["probs"].transpose(0, 1, 3, 2) @ dz
-        dscores = lc["probs"] * (dprobs - np.sum(dprobs * lc["probs"], axis=-1, keepdims=True))
-        dq = (dscores @ lc["k"]) * scale
-        dk = (dscores.transpose(0, 1, 3, 2) @ lc["q"]) * scale
-
-        dq_m, dk_m, dv_m = (_merge_heads(g) for g in (dq, dk, dv))
-        normed1_flat = lc["normed1"].reshape(-1, config.d_model)
-        grads[(layer, "W_Q")] += normed1_flat.T @ dq_m.reshape(-1, config.d_model)
-        grads[(layer, "W_K")] += normed1_flat.T @ dk_m.reshape(-1, config.d_model)
-        grads[(layer, "W_V")] += normed1_flat.T @ dv_m.reshape(-1, config.d_model)
-        dnormed1 = (dq_m @ params[(layer, "W_Q")].T
-                    + dk_m @ params[(layer, "W_K")].T
-                    + dv_m @ params[(layer, "W_V")].T)
-        dx_in, dgain1 = _rmsnorm_backward(dnormed1, params[(layer, "attn_gain")],
-                                          lc["xhat1"], lc["r1"])
-        grads[(layer, "attn_gain")] += dgain1
-        dx = dx + dx_in
+    for layer in range(config.n_layers - 1, stop - 1, -1):
+        dx = block_backward(params, layer, cache["layers"][layer], dx, need,
+                            layer > stop or embeddings, grads)
 
     # embeddings
-    np.add.at(grads[(None, "tok_emb")], ids, dx)
-    grads[(None, "pos_emb")][:t] += dx.sum(axis=0)
-    return loss, grads
+    if (None, "tok_emb") in need:
+        np.add.at(grads[(None, "tok_emb")], ids, dx)
+    if (None, "pos_emb") in need:
+        grads[(None, "pos_emb")] = np.zeros_like(params[(None, "pos_emb")])
+        grads[(None, "pos_emb")][:t] += dx.sum(axis=0)
+    return loss, {key: grads[key] for key in keys if key in need}
 
 
 def _extend(params: ModelParams, tokens: np.ndarray, start: int,
-            keys: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+            kv: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Run tokens [B,T] at positions start..start+T-1, attending to the
     cached keys and values of the positions before them. Stores their own
     K and V in the cache and returns the logits [B,V] of the last one."""
-    config = params.config
-    end = start + tokens.shape[1]
-    x = (params[(None, "tok_emb")][tokens] + params[(None, "pos_emb")][start:end]).astype(params.dtype)
-    future = np.arange(end) > np.arange(start, end)[:, None]
-    scale = 1.0 / math.sqrt(config.head_dim)
-    for layer in range(config.n_layers):
-        normed1, _, _ = _rmsnorm(x, params[(layer, "attn_gain")])
-        q = _split_heads(normed1 @ params[(layer, "W_Q")], config.n_heads)
-        keys[layer][:, :, start:end] = _split_heads(normed1 @ params[(layer, "W_K")], config.n_heads)
-        values[layer][:, :, start:end] = _split_heads(normed1 @ params[(layer, "W_V")], config.n_heads)
-        k, v = keys[layer][:, :, :end], values[layer][:, :, :end]
-        scores = np.where(future, -np.inf, (q @ k.transpose(0, 1, 3, 2)) * scale)
-        x = x + _merge_heads(_softmax(scores) @ v) @ params[(layer, "W_O")]
-        normed2, _, _ = _rmsnorm(x, params[(layer, "mlp_gain")])
-        act, _ = _gelu(normed2 @ params[(layer, "W_1")])
-        x = x + act @ params[(layer, "W_2")]
+    x = embed(params, tokens, start)
+    for layer in range(params.config.n_layers):
+        x = block_forward(params, layer, x, start, kv[layer])
     normed_f, _, _ = _rmsnorm(x[:, -1], params[(None, "final_gain")])
     return normed_f @ params[(None, "tok_emb")].T
 
@@ -401,14 +486,14 @@ def decode_batch(params: ModelParams, prompts: np.ndarray, n_tokens: int) -> np.
     Batch(ids=window, mask=np.zeros(window.shape)).validate(config)
     shape = (b, config.n_heads, min(window.shape[1] + n_tokens - 1, config.max_seq_len),
              config.head_dim)
-    keys = [np.empty(shape, dtype=params.dtype) for _ in range(config.n_layers)]
-    values = [np.empty(shape, dtype=params.dtype) for _ in range(config.n_layers)]
-    ids[:, p] = np.argmax(_extend(params, window, 0, keys, values), axis=-1)
+    kv = [(np.empty(shape, dtype=params.dtype), np.empty(shape, dtype=params.dtype))
+          for _ in range(config.n_layers)]
+    ids[:, p] = np.argmax(_extend(params, window, 0, kv), axis=-1)
     for t in range(p + 1, p + n_tokens):
         if t <= config.max_seq_len:
-            last = _extend(params, ids[:, t - 1:t], t - 1, keys, values)
+            last = _extend(params, ids[:, t - 1:t], t - 1, kv)
         else:
-            last = _extend(params, ids[:, t - config.max_seq_len:t], 0, keys, values)
+            last = _extend(params, ids[:, t - config.max_seq_len:t], 0, kv)
         ids[:, t] = np.argmax(last, axis=-1)
     return ids[:, p:]
 
@@ -439,10 +524,11 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
 
 
 def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
-    in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "manifest.json").read_text(encoding="utf-8"))
-    config = ModelConfig(**manifest["config"])
-    blob = (in_dir / "params.bin").read_bytes()
+    path = Path(in_dir) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    config = ModelConfig.from_dict(manifest.get("config") if isinstance(manifest, dict) else None,
+                                   f"{path} 'config'")
+    blob = (path.parent / "params.bin").read_bytes()
     tensors: dict[ParamKey, np.ndarray] = {}
     for entry in manifest["tensors"]:
         raw = blob[entry["offset"]:entry["offset"] + entry["length"]]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +23,8 @@ from .tinylm import (
     Batch,
     ModelParams,
     ParamKey,
+    block_forward,
+    embed,
     global_keys,
     layer_keys,
     loss_and_backward,
@@ -78,8 +80,9 @@ class TrainConfig:
             raise ValueError("lr_min must be <= lr_max")
         if not 0 <= self.warmup_ratio < 1:
             raise ValueError("warmup_ratio must be in [0, 1)")
-        if self.grad_accum < 1 or self.epochs < 1:
-            raise ValueError("grad_accum and epochs must be >= 1")
+        for name in ("epochs", "batch_size", "grad_accum"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -218,7 +221,7 @@ def _check_finite(params: ModelParams, grads: dict[ParamKey, np.ndarray],
 
 
 def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKey],
-               config: TrainConfig, stage: str, log: list[dict]) -> None:
+               config: TrainConfig, stage: str, log: list[dict], boundary=None) -> None:
     steps_per_epoch = math.ceil(len(batches) / config.grad_accum)
     total_steps = config.epochs * steps_per_epoch
     state = AdamState()
@@ -230,7 +233,9 @@ def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKe
             acc: dict[ParamKey, np.ndarray] | None = None
             losses = []
             for idx in window:
-                loss, grads = loss_and_backward(params, batches[int(idx)])
+                at = None if boundary is None else (boundary[0], boundary[1][int(idx)])
+                loss, grads = loss_and_backward(params, batches[int(idx)], need=trainable,
+                                                boundary=at)
                 losses.append(loss)
                 if acc is None:
                     acc = grads
@@ -248,18 +253,28 @@ def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKe
 
 
 def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
-        config: TrainConfig) -> TrainResult:
+        config: TrainConfig, boundary: tuple[int, list[np.ndarray]] | None = None
+        ) -> TrainResult:
     """Train per the mode's stage plan. The caller's params are never
     mutated; each stage starts from the previous stage's output with a
-    fresh optimizer and schedule over the same data order."""
+    fresh optimizer and schedule over the same data order.
+
+    A boundary (layer, xs) gives, for each batch, the residual stream
+    entering block layer under start_params. No stage may train below
+    that block, so it stays valid throughout, and every forward pass
+    starts there."""
     t0 = time.monotonic()
     params = start_params.clone()
     result = TrainResult(params=params)
-    for stage, trainable in stage_plan(mode, params.config.n_layers):
+    plan = stage_plan(mode, params.config.n_layers)
+    if boundary is not None and any(key[0] is None or key[0] < boundary[0]
+                                    for _, trainable in plan for key in trainable):
+        raise ValueError(f"{mode.label()} trains below the boundary at block {boundary[0]}")
+    for stage, trainable in plan:
         if not trainable:
             result.log.append({"stage": stage, "skipped": True})
         else:
-            _run_stage(params, batches, trainable, config, stage, result.log)
+            _run_stage(params, batches, trainable, config, stage, result.log, boundary)
         result.stage_params[stage] = params.clone()
     result.wall_clock = time.monotonic() - t0
     return result
@@ -276,15 +291,36 @@ def single_layer_sweep(start_params: ModelParams, batches: list[Batch],
                        workers: int = 1) -> list[SweepRow]:
     """Train each layer independently from the same start checkpoint and
     evaluate on the held-out sets. Rows come back ordered by layer and
-    are independent of execution order."""
+    are independent of execution order.
 
-    def one(layer: int) -> SweepRow:
-        res = run(start_params, batches, TrainMode.single_layer(layer), config)
+    Row l leaves the blocks below l at their start values, so the
+    residual stream entering block l (the row's boundary) is the same in
+    every row, and the row's forward passes start there. Rows are handed
+    to the workers in layer order, one at a time, and between rows the
+    boundary moves up one block under the start parameters; at most
+    workers + 1 boundaries are alive at once."""
+    model = start_params.config
+    for batch in batches:
+        batch.validate(model)
+
+    def one(layer: int, holder: list) -> SweepRow:
+        # the row takes the only reference to its boundary, so the
+        # boundary is freed when the row ends, not when the pool's work
+        # item is dropped
+        res = run(start_params, batches, TrainMode.single_layer(layer), config,
+                  boundary=(layer, holder.pop()))
         evals = {name: evaluate(res.params, es) for name, es in eval_sets.items()}
         return SweepRow(layer=layer, results=evals)
 
-    layers = range(start_params.config.n_layers)
-    if workers <= 1:
-        return [one(layer) for layer in layers]
+    workers = max(workers, 1)
+    xs = [embed(start_params, batch.ids) for batch in batches]
+    futures = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, layers))
+        for layer in range(model.n_layers):
+            running = [f for f in futures if not f.done()]
+            if len(running) == workers:
+                wait(running, return_when=FIRST_COMPLETED)
+            futures.append(pool.submit(one, layer, [xs]))
+            if layer + 1 < model.n_layers:
+                xs = [block_forward(start_params, layer, x) for x in xs]
+        return [f.result() for f in futures]

@@ -346,3 +346,92 @@ def test_refine_with_subprocess_scorer_matches_sidecar(
     assert out_side.read_bytes() == out_sub.read_bytes()
     assert (tmp_path / "rep_side.json").read_bytes() == \
         (tmp_path / "rep_sub.json").read_bytes()
+
+
+def _no_training(monkeypatch):
+    from forge import trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with an unchecked config")
+    monkeypatch.setattr(trainer, "run", no_training)
+    monkeypatch.setattr(trainer, "single_layer_sweep", no_training)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs"),
+    (["--lr-min", "1", "--lr-max", "0.1"], "lr_min"),
+    (["--grad-accum", "0"], "grad_accum"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--warmup-ratio", "1"], "warmup_ratio"),
+])
+def test_training_flags_get_the_train_config_checks(
+        tmp_path, capsys, monkeypatch, command, flags, message):
+    assert main(["make-synth", "--task", "translation", "--n", "40", "--seed", "1",
+                 "--out", str(tmp_path / "synth")]) == 0
+    _no_training(monkeypatch)
+    model = _write_model_config(tmp_path)
+    argv = {"train": ["train", "--mode", "fft"],
+            "sweep": ["sweep", "--eval-translation", str(tmp_path / "synth")]}[command]
+    argv += ["--data", str(tmp_path / "synth"), "--model-config", str(model),
+             "--out", str(tmp_path / "out")] + flags
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
+def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
+    _no_training(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"lr": 1e-3}}), encoding="utf-8")
+    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
+                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
+    assert "unknown config 'train' key 'lr'" in capsys.readouterr().err
+
+
+BAD_MODEL_CONFIGS = [
+    ({**MODEL_CONFIG, "layers": 3}, "unknown model config key 'layers'"),
+    ({k: v for k, v in MODEL_CONFIG.items() if k != "d_ff"}, "missing model config key 'd_ff'"),
+    ({**MODEL_CONFIG, "n_heads": "4"}, "model config key 'n_heads' must be an integer"),
+    ({**MODEL_CONFIG, "vocab_size": 64.0}, "model config key 'vocab_size' must be an integer"),
+    ({**MODEL_CONFIG, "n_heads": 0}, "n_heads must be >= 1"),
+    ([4, 32], "a model config must be an object"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_MODEL_CONFIGS)
+def test_bad_model_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch, bad, message):
+    _no_training(monkeypatch)
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(bad), encoding="utf-8")
+    assert main(["train", "--mode", "fft", "--data", "d", "--model-config", str(model),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("bad, message", BAD_MODEL_CONFIGS)
+def test_bad_compare_model_config_is_a_domain_error(tmp_path, capsys, monkeypatch, bad, message):
+    _no_training(monkeypatch)
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"})
+    spec = json.loads(spec_path.read_text())
+    (tmp_path / "model.json").write_text(json.dumps(bad), encoding="utf-8")
+    assert spec["model_config"] == str(tmp_path / "model.json")
+    assert main(["compare", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("bad, message", BAD_MODEL_CONFIGS)
+def test_bad_checkpoint_manifest_config_is_a_domain_error(tmp_path, capsys, bad, message):
+    from forge import tinylm
+
+    ckpt = tmp_path / "ckpt"
+    tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG)), ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["config"] = bad
+    (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "manifest.json" in err, err

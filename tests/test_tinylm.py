@@ -12,8 +12,11 @@ from forge.tinylm import (
     GLOBAL_TENSORS,
     LAYER_TENSORS,
     ModelConfig,
+    block_forward,
     decode_batch,
+    embed,
     forward,
+    global_keys,
     greedy_decode,
     init,
     layer_keys,
@@ -179,6 +182,75 @@ def test_loss_scale_scales_gradients():
     assert abs(loss3 - 3.0 * loss1) < 1e-12
     for key in grads1:
         assert np.allclose(grads3[key], 3.0 * grads1[key], rtol=1e-9, atol=1e-15)
+
+
+DEEP = ModelConfig(n_layers=4, d_model=16, n_heads=2, d_ff=32,
+                   vocab_size=32, max_seq_len=16, init_seed=9)
+# the trainable sets of every mode on DEEP: FFT, stage 1 and stage 2 of
+# bottom-1/top-2, each single layer, the sensitivity probe's Q/K/V, and
+# the globals alone (the embeddings need the whole backward chain)
+NEED_SETS = {
+    "all": None,
+    "stage1": set(layer_keys(0)),
+    "stage2": set(layer_keys(2)) | set(layer_keys(3)),
+    **{f"layer{l}": set(layer_keys(l)) for l in range(DEEP.n_layers)},
+    "qkv": {(l, n) for l in range(DEEP.n_layers) for n in ("W_Q", "W_K", "W_V")},
+    "globals": set(global_keys()),
+}
+
+
+def _boundaries(params, batch):
+    """The residual stream entering each block (and leaving the last)."""
+    xs = [embed(params, batch.ids)]
+    for layer in range(params.config.n_layers):
+        xs.append(block_forward(params, layer, xs[-1]))
+    return xs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", list(NEED_SETS))
+def test_needed_gradients_equal_the_full_backward(dtype, name):
+    """A needed set returns exactly its keys, each bit-identical to the
+    full backward, and so does every boundary at or below its lowest
+    layer."""
+    params = init(DEEP, dtype)
+    need = NEED_SETS[name]
+    batch = _batch(np.random.default_rng(12), b=4, t=12)
+    loss, full = loss_and_backward(params, batch)
+    want = params.keys() if need is None else [k for k in params.keys() if k in need]
+    layers = [layer for layer, _ in want]
+    lowest = 0 if None in layers else min(layers)
+    xs = _boundaries(params, batch)
+    for boundary in [None] + [(layer, xs[layer]) for layer in range(lowest + 1)]:
+        got_loss, got = loss_and_backward(params, batch, need=need, boundary=boundary)
+        assert got_loss == loss
+        assert list(got) == want
+        for key in want:
+            assert got[key].dtype == dtype
+            assert got[key].tobytes() == full[key].tobytes(), (key, boundary and boundary[0])
+
+
+def test_forward_blocks_compose_to_the_logits():
+    params = init(DEEP)
+    batch = _batch(np.random.default_rng(13))
+    logits, cache = forward(params, batch)
+    assert np.array_equal(_boundaries(params, batch)[-1], cache["x_final"])
+    bare, no_cache = forward(params, batch, keep=False)
+    assert no_cache is None and np.array_equal(bare, logits)
+
+
+def test_needed_set_and_boundary_are_checked():
+    params = init(DEEP)
+    batch = _batch(np.random.default_rng(14))
+    x2 = _boundaries(params, batch)[2]
+    with pytest.raises(ValueError, match="below"):
+        loss_and_backward(params, batch, need=set(layer_keys(1)), boundary=(2, x2))
+    with pytest.raises(ValueError, match="below"):
+        loss_and_backward(params, batch, need={(None, "pos_emb")}, boundary=(2, x2))
+    with pytest.raises(ValueError, match="no such"):
+        loss_and_backward(params, batch, need={(9, "W_Q")})
+    loss, grads = loss_and_backward(params, batch, need=set())
+    assert grads == {} and loss == loss_and_backward(params, batch)[0]
 
 
 def test_greedy_decode_deterministic():

@@ -1,13 +1,22 @@
 """Trainer tests: layer selection, the warmup+cosine schedule, masked
 AdamW, freezing soundness, stage isolation, and the sweep."""
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from forge import trainer
 from forge.errors import IndexOutOfRange, NonFiniteInput, OverlappingStages
-from forge.synth import SynthLangSpec, gen_general_corpus, gen_translation_corpus, make_batches
+from forge.synth import (
+    SynthLangSpec,
+    evaluate,
+    gen_general_corpus,
+    gen_translation_corpus,
+    make_batches,
+)
 from forge.tinylm import Batch, ModelConfig, global_keys, init, layer_keys
 from forge.trainer import (
     AdamState,
@@ -289,9 +298,10 @@ def test_nan_loss_fails_the_stage_before_the_update():
 def _loss_and_backward_with(bad_key, value):
     real = trainer.loss_and_backward
 
-    def patched(params, batch):
-        loss, grads = real(params, batch)
-        grads[bad_key][...] = value
+    def patched(params, batch, **kwargs):
+        loss, grads = real(params, batch, **kwargs)
+        # a frozen key is outside the needed set, so it is added here
+        grads[bad_key] = np.full_like(params[bad_key], value)
         return loss, grads
     return patched
 
@@ -346,3 +356,61 @@ def test_sweep_order_independent(sweep_inputs):
         assert a.layer == b.layer
         for name in a.results:
             assert a.results[name] == b.results[name]
+
+
+def _sweep_config():
+    return TrainConfig(lr_max=1e-3, lr_min=1e-4, epochs=1, batch_size=8, grad_accum=2, seed=7)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_rows_equal_run_plus_evaluate(sweep_inputs, workers):
+    """Each row, which trains from a shared boundary, equals a plain
+    run of its layer followed by evaluate."""
+    batches, eval_sets = sweep_inputs
+    params = init(CFG)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # rows share their boundaries: switch threads often
+    try:
+        rows = single_layer_sweep(params, batches, eval_sets, _sweep_config(), workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [row.layer for row in rows] == list(range(CFG.n_layers))
+    for row in rows:
+        result = run(params, batches, TrainMode.single_layer(row.layer), _sweep_config())
+        assert row.results == {name: evaluate(result.params, es)
+                               for name, es in eval_sets.items()}, row.layer
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_keeps_at_most_workers_plus_one_boundaries(sweep_inputs, monkeypatch, workers):
+    batches, eval_sets = sweep_inputs
+    alive, peak = [0], [0]
+    lock = threading.Lock()
+
+    def release():
+        with lock:
+            alive[0] -= 1
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            x = fn(*args, **kwargs)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(x, release)
+            return x
+        return wrapper
+    monkeypatch.setattr(trainer, "embed", counted(trainer.embed))
+    monkeypatch.setattr(trainer, "block_forward", counted(trainer.block_forward))
+    single_layer_sweep(init(CFG), batches, eval_sets, _sweep_config(), workers=workers)
+    assert 0 < peak[0] <= (workers + 1) * len(batches)
+
+
+def test_run_rejects_a_boundary_below_a_trained_layer(sweep_inputs):
+    batches, _ = sweep_inputs
+    params = init(CFG)
+    xs = [trainer.block_forward(params, 0, trainer.embed(params, b.ids)) for b in batches]
+    with pytest.raises(ValueError, match="below the boundary"):
+        run(params, batches, TrainMode.single_layer(0), _sweep_config(), boundary=(1, xs))
+    with pytest.raises(ValueError, match="below the boundary"):
+        run(params, batches, TrainMode.full_finetune(), _sweep_config(), boundary=(1, xs))
