@@ -400,10 +400,19 @@ def cmd_compare(args) -> int:
     _check_keys(spec, SPEC_KEYS, SPEC_REQUIRED + (() if args.out else ("out_dir",)), "spec")
     if not isinstance(spec["rows"], list) or not isinstance(spec["eval_sets"], dict):
         raise ForgeError("'rows' must be a list and 'eval_sets' an object")
+    paths = [(f"spec {key!r}", spec[key]) for key in ("model_config", "train_data", "out_dir")
+             if key in spec]
+    if spec.get("start_checkpoint") is not None:
+        paths.append(("spec 'start_checkpoint'", spec["start_checkpoint"]))
+    paths += [(f"eval set {name!r}", path) for name, path in spec["eval_sets"].items()]
     pre = spec.get("pretrain")
     if pre is not None:
         _check_keys(pre, PRETRAIN_KEYS, ("data",), "pretrain")
         pre_cfg = _spec_train_config(pre.get("config", {}), "pretrain config")
+        paths.append(("pretrain 'data'", pre["data"]))
+    for what, path in paths:
+        if not isinstance(path, str):
+            raise ForgeError(f"{what} must be a path string, not {path!r}")
     model_config = tinylm.ModelConfig.from_dict(_load_json(spec["model_config"]),
                                                 spec["model_config"])
     plan = _compare_plan(spec, model_config.n_layers)

@@ -67,6 +67,15 @@ class ScoreKindMismatch(ScorerFailure):
                          f"with a {response_kind} score")
 
 
+class UnencodableRequest(ScorerFailure):
+    """A request's text cannot be written as UTF-8 (a lone surrogate)."""
+
+    def __init__(self, request_id: int, reason: str = ""):
+        self.request_id = request_id
+        super().__init__(f"id {request_id}: request text cannot be encoded "
+                         f"as UTF-8 ({reason})")
+
+
 class MissingScore(ScorerFailure):
     """Sidecar file has no entry for a queried id."""
 

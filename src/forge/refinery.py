@@ -167,12 +167,14 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def signatures(token_lists: Sequence[Sequence[str]]) -> list[int]:
+def signatures(token_lists: Sequence[Sequence[str]],
+               known: dict[str, int] | None = None) -> list[int]:
     """Classic 64-bit SimHash of each token multiset (ties round to 0).
 
-    Each distinct token of the batch is hashed once; a record's bit
-    accumulator is the exact integer sum of its tokens' +1/-1 bit rows.
-    An empty token list signs to 0.
+    Each distinct token of the batch is hashed once, and not at all if
+    `known` (token -> fnv1a64 hash, extended here) already holds it; a
+    record's bit accumulator is the exact integer sum of its tokens'
+    +1/-1 bit rows. An empty token list signs to 0.
     """
     index: dict[str, int] = {}
     occurrences = [index.setdefault(tok, len(index))
@@ -180,7 +182,12 @@ def signatures(token_lists: Sequence[Sequence[str]]) -> list[int]:
     sigs = np.zeros(len(token_lists), dtype=np.uint64)
     if not occurrences:
         return sigs.tolist()
-    hashes = np.array([fnv1a64(tok.encode("utf-8")) for tok in index], dtype="<u8")
+    if known is None:
+        known = {}
+    for tok in index:
+        if tok not in known:
+            known[tok] = fnv1a64(tok.encode("utf-8"))
+    hashes = np.array([known[tok] for tok in index], dtype="<u8")
     rows = np.unpackbits(hashes.view(np.uint8).reshape(-1, 8), axis=1,
                          bitorder="little").view(np.int8)
     rows *= 2
@@ -262,15 +269,18 @@ def dedup(records: Sequence[ParallelRecord], config: RefineryConfig
     (keep-first); otherwise a candidate is dropped iff it conflicts
     (hamming <= radius) with more than max_conflicts distinct kept
     records. Records are signed in blocks of `_SIGN_BLOCK` with
-    `signatures`, which gives the same values as `record_signature`.
+    `signatures`, which gives the same values as `record_signature`; the
+    blocks share one table of token hashes, so each distinct token of the
+    call is hashed once.
     Returns (kept records in input order, dropped count).
     """
     index = SimHashIndex(config.hamming_radius)
+    known: dict[str, int] = {}
     kept: list[ParallelRecord] = []
     dropped = 0
     for start in range(0, len(records), _SIGN_BLOCK):
         block = records[start:start + _SIGN_BLOCK]
-        sigs = signatures([record_tokens(r, config) for r in block])
+        sigs = signatures([record_tokens(r, config) for r in block], known)
         keys = band_keys(sigs, config.hamming_radius).tolist()
         for record, sig, sig_keys in zip(block, sigs, keys):
             conflicts = index.conflicts(sig, sig_keys)

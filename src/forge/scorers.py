@@ -3,13 +3,20 @@
 Heavyweight models stay outside the artifact behind one of two handles:
 
 * SubprocessScorer -- newline-delimited JSON over the child's stdio.
-  Request lines: ``{"id":N,"kind":"langid","text":S}`` or
-  ``{"id":N,"kind":"quality","src":L,"trg":L,"src_line":S,"tgt_line":S}``.
-  Response lines: ``{"id":N,"lang":L,"prob":P}`` or ``{"id":N,"loss":X}``.
-  Responses may arrive out of order; they are matched by id. Up to
-  ``window`` requests are kept in flight. A response for an id that is
-  not awaiting one (never sent, or already answered) is a protocol
-  violation.
+  Request lines: ``{"id": N, "kind": "langid", "text": S}`` or
+  ``{"id": N, "kind": "quality", "src": L, "trg": L, "src_line": S,
+  "tgt_line": S}``, exactly as ``json.dumps(..., ensure_ascii=False)``
+  writes them. Response lines: ``{"id":N,"lang":L,"prob":P}`` or
+  ``{"id":N,"loss":X}``. Responses may arrive out of order; they are
+  matched by id. Requests are written in chunks of ``window // 2`` lines
+  (at least one), one write per chunk, and the next chunk is written
+  while the previous one is collected, so at most ``window`` requests are
+  in flight. A child may therefore answer before it has read all of its
+  input, and must keep reading stdin while it writes. A response for an
+  id that is not awaiting one (never sent, or already answered) is a
+  protocol violation. A request whose text cannot be encoded as UTF-8
+  (a lone surrogate) raises ``UnencodableRequest`` before any line of its
+  chunk is sent.
 * SidecarScorer -- precomputed scores in a TSV file,
   ``id<TAB>lang<TAB>prob`` or ``id<TAB>loss``, one line per id.
 
@@ -30,8 +37,10 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -42,6 +51,7 @@ from .errors import (
     ScorerTimeout,
     SidecarParseError,
     SpawnFailure,
+    UnencodableRequest,
 )
 from .records import is_lang_code
 
@@ -60,13 +70,14 @@ class ScoreRequest:
     tgt_line: str = ""
 
     def to_wire(self) -> str:
+        """The request line, equal to ``json.dumps(..., ensure_ascii=False)``
+        of the fields in wire order (`_quote` is the function it escapes
+        strings with)."""
         if self.kind == "langid":
-            return json.dumps({"id": self.id, "kind": "langid", "text": self.text},
-                              ensure_ascii=False)
-        return json.dumps(
-            {"id": self.id, "kind": "quality", "src": self.src, "trg": self.trg,
-             "src_line": self.src_line, "tgt_line": self.tgt_line},
-            ensure_ascii=False)
+            return f'{{"id": {self.id}, "kind": "langid", "text": {_quote(self.text)}}}'
+        return (f'{{"id": {self.id}, "kind": "quality", "src": {_quote(self.src)}, '
+                f'"trg": {_quote(self.trg)}, "src_line": {_quote(self.src_line)}, '
+                f'"tgt_line": {_quote(self.tgt_line)}}}')
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,20 @@ def _parse_response_line(line: str) -> ScoreResponse:
         raise ProtocolViolation(line, str(e)) from e
 
 
+def _encode_chunk(chunk: Sequence[ScoreRequest]) -> bytes:
+    """The wire bytes of a chunk of requests, one line each."""
+    lines = [req.to_wire() for req in chunk]
+    try:
+        return ("\n".join(lines) + "\n").encode("utf-8")
+    except UnicodeEncodeError:
+        for req, line in zip(chunk, lines):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise UnencodableRequest(req.id, e.reason) from e
+        raise
+
+
 class Scorer:
     """Interface: score a request batch, responses in request order."""
 
@@ -159,10 +184,11 @@ class SubprocessScorer(Scorer):
             raise SpawnFailure(f"cannot launch {argv!r}: {e}") from e
         self.timeout = timeout
         self.window = max(1, window)
-        # ids sent and not yet answered, and answers not yet taken; both
-        # guarded by _cond
+        # ids sent and not yet answered, answers not yet taken, and the id
+        # the scoring thread is blocked on; all guarded by _cond
         self._outstanding: set[int] = set()
         self._pending: dict[int, ScoreResponse] = {}
+        self._awaited: int | None = None
         self._reader_error: Exception | None = None
         self._eof = False
         self._cond = threading.Condition()
@@ -183,7 +209,8 @@ class SubprocessScorer(Scorer):
                             line, f"response for id {resp.id}, which is not awaiting one")
                     self._outstanding.remove(resp.id)
                     self._pending[resp.id] = resp
-                    self._cond.notify_all()
+                    if resp.id == self._awaited:
+                        self._cond.notify_all()
         except Exception as e:  # surfaced to the scoring thread
             with self._cond:
                 self._reader_error = e
@@ -193,44 +220,78 @@ class SubprocessScorer(Scorer):
             self._eof = True
             self._cond.notify_all()
 
-    def _take(self, req: ScoreRequest) -> ScoreResponse:
-        req_id = req.id
-        with self._cond:
-            got = self._cond.wait_for(
-                lambda: req_id in self._pending or self._reader_error is not None
-                or self._eof,
-                timeout=self.timeout)
+    def _await(self, req_id: int, rest: Sequence[ScoreRequest]) -> ScoreResponse:
+        """Wait up to `timeout` for the answer to `req_id`, the first
+        missing id of `rest` (the uncollected part of a chunk); the caller
+        holds _cond.
+
+        The pump wakes this thread only when the last missing id of `rest`
+        arrives, so a child that answers in order costs one wake-up per
+        chunk."""
+        deadline = time.monotonic() + self.timeout
+        while True:
+            target = next(req.id for req in reversed(rest) if req.id not in self._pending)
+            self._awaited = target
+            try:
+                self._cond.wait_for(
+                    lambda: target in self._pending or self._reader_error is not None
+                    or self._eof,
+                    timeout=deadline - time.monotonic())
+            finally:
+                self._awaited = None
             if req_id in self._pending:
-                return _answer_to(req, self._pending.pop(req_id))
+                return self._pending.pop(req_id)
             if self._reader_error is not None:
                 raise self._reader_error
             if self._eof:
                 raise SpawnFailure(f"scorer exited before responding to id {req_id}")
-            if not got:
+            if time.monotonic() >= deadline:
                 raise ScorerTimeout(req_id, self.timeout)
-            raise ScorerTimeout(req_id, self.timeout)
+
+    def _collect(self, chunk: Sequence[ScoreRequest]) -> list[ScoreResponse]:
+        """The answers to a sent chunk, in request order."""
+        out = []
+        with self._cond:
+            for i, req in enumerate(chunk):
+                resp = self._pending.pop(req.id, None)
+                if resp is None:
+                    resp = self._await(req.id, chunk[i:])
+                out.append(_answer_to(req, resp))
+        return out
+
+    def _send(self, chunk: Sequence[ScoreRequest], data: bytes) -> None:
+        assert self._proc.stdin is not None
+        # registered before the write: a fast child may answer at once
+        with self._cond:
+            self._outstanding.update(req.id for req in chunk)
+        try:
+            self._proc.stdin.buffer.write(data)
+            self._proc.stdin.buffer.flush()
+        except (BrokenPipeError, ValueError) as e:
+            with self._cond:
+                if self._reader_error is not None:
+                    raise self._reader_error
+            raise SpawnFailure(f"scorer process went away: {e}") from e
 
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
-        assert self._proc.stdin is not None
         out: list[ScoreResponse] = []
-        in_flight: deque[ScoreRequest] = deque()
-        for req in requests:
-            # registered before the write: a fast child may answer at once
-            with self._cond:
-                self._outstanding.add(req.id)
+        size = max(1, self.window // 2)
+        in_flight: deque[Sequence[ScoreRequest]] = deque()
+        for start in range(0, len(requests), size):
+            chunk = requests[start:start + size]
             try:
-                self._proc.stdin.write(req.to_wire() + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError) as e:
-                with self._cond:
-                    if self._reader_error is not None:
-                        raise self._reader_error
-                raise SpawnFailure(f"scorer process went away: {e}") from e
-            in_flight.append(req)
-            while len(in_flight) >= self.window:
-                out.append(self._take(in_flight.popleft()))
-        for req in in_flight:
-            out.append(self._take(req))
+                data = _encode_chunk(chunk)
+            except UnencodableRequest:
+                # answer what was sent, so no id stays outstanding
+                for sent in in_flight:
+                    self._collect(sent)
+                raise
+            while in_flight and sum(map(len, in_flight)) + len(chunk) > self.window:
+                out.extend(self._collect(in_flight.popleft()))
+            self._send(chunk, data)
+            in_flight.append(chunk)
+        for chunk in in_flight:
+            out.extend(self._collect(chunk))
         return out
 
     def close(self) -> None:

@@ -523,17 +523,63 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
     (out_dir / "params.bin").write_bytes(b"".join(blobs))
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _tensor_entry(entry, what: str) -> tuple[ParamKey, list[int], int, int]:
+    """(key, shape, offset, length) of one manifest tensor entry, each
+    field present and of its type."""
+    if not isinstance(entry, dict):
+        raise ForgeError(f"{what} must be an object, not {entry!r}")
+    for field in ("layer", "name", "shape", "offset", "length"):
+        if field not in entry:
+            raise ForgeError(f"{what}: missing {field!r}")
+    layer, name, shape = entry["layer"], entry["name"], entry["shape"]
+    if not (layer is None or _is_count(layer)) or not isinstance(name, str):
+        raise ForgeError(f"{what}: 'layer' must be an integer or null and 'name' a string, "
+                         f"not {layer!r} and {name!r}")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise ForgeError(f"{what}: 'shape' must be a list of integers, not {shape!r}")
+    for field in ("offset", "length"):
+        if not _is_count(entry[field]):
+            raise ForgeError(f"{what}: {field!r} must be a non-negative integer, "
+                             f"not {entry[field]!r}")
+    return (layer, name), shape, entry["offset"], entry["length"]
+
+
 def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
+    """Read a checkpoint. Every tensor entry of the manifest is checked:
+    its fields, its place in params.bin, its byte length against its
+    shape, and its key and shape against the model config; each tensor of
+    the config appears exactly once."""
     path = Path(in_dir) / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    config = ModelConfig.from_dict(manifest.get("config") if isinstance(manifest, dict) else None,
-                                   f"{path} 'config'")
+    if not isinstance(manifest, dict):
+        manifest = {}
+    config = ModelConfig.from_dict(manifest.get("config"), f"{path} 'config'")
+    table = manifest.get("tensors")
+    if not isinstance(table, list):
+        raise ForgeError(f"{path}: 'tensors' must be a list, not {table!r}")
+    expected = {(layer, name): shape for layer, name, shape in param_paths(config)}
     blob = (path.parent / "params.bin").read_bytes()
     tensors: dict[ParamKey, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        raw = blob[entry["offset"]:entry["offset"] + entry["length"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(entry["shape"]).astype(dtype)
-        layer = entry["layer"]
-        tensors[(layer, entry["name"])] = arr
+    for i, entry in enumerate(table):
+        key, shape, offset, length = _tensor_entry(entry, f"{path} tensor entry {i}")
+        what = f"{path} tensor entry {i} {key}"
+        if key in tensors:
+            raise ForgeError(f"{what}: duplicate tensor")
+        if expected.get(key) != tuple(shape):
+            raise ForgeError(f"{what}: shape {shape} is not a tensor of the model config")
+        if length != 4 * math.prod(shape):
+            raise ForgeError(f"{what}: length {length} is not 4 bytes times shape {shape}")
+        if offset + length > len(blob):
+            raise ForgeError(f"{what}: bytes {offset}..{offset + length} lie beyond "
+                             f"params.bin ({len(blob)} bytes)")
+        raw = blob[offset:offset + length]
+        tensors[key] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
+    missing = [key for key in expected if key not in tensors]
+    if missing:
+        raise ForgeError(f"{path}: no tensor entry for {missing[0]}")
     return ModelParams(config, tensors)
 

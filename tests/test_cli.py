@@ -116,6 +116,31 @@ def test_refine_wrong_kind_scorer_is_domain_error(tmp_path, fixture_paths, capsy
     assert "Traceback" not in err
 
 
+def test_refine_unencodable_dev_record_is_domain_error(
+        tmp_path, fixture_paths, stub_scorer_script, capsys):
+    # dev records are not cleaned, so an escaped lone surrogate reaches the
+    # subprocess scorer; it fails as a typed error naming the request id
+    lines = fixture_paths["dev_records"].read_text(encoding="utf-8").splitlines(True)
+    record = json.loads(lines[3])
+    record["src_line"] += " \ud800"
+    lines[3] = json.dumps(record) + "\n"
+    assert "\\ud800" in lines[3]
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text("".join(lines), encoding="utf-8")
+    code = main([
+        "refine", "--input", str(fixture_paths["input"]),
+        "--output", str(tmp_path / "out.jsonl"),
+        "--langid-scorer", str(fixture_paths["langid"]),
+        "--quality-scorer", str(fixture_paths["quality"]),
+        "--dev-set", str(dev),
+        "--dev-scorer", f"{sys.executable} {stub_scorer_script} {fixture_paths['dev']}",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: id 3: ") and "UTF-8" in err, err
+    assert "went away" not in err and "Traceback" not in err
+
+
 def test_refine_emits_instruction_samples(tmp_path, fixture_paths):
     out = tmp_path / "instructions.jsonl"
     assert main(["refine", "--input", str(fixture_paths["input"]),
@@ -302,6 +327,23 @@ def test_compare_needs_the_spec_keys(tmp_path, capsys):
     assert "missing spec key 'train_data'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top_level, message", [
+    ({"model_config": 3}, "spec 'model_config' must be a path string, not 3"),
+    ({"train_data": ["x"]}, "spec 'train_data' must be a path string, not ['x']"),
+    ({"start_checkpoint": 1}, "spec 'start_checkpoint' must be a path string, not 1"),
+    ({"out_dir": None}, "spec 'out_dir' must be a path string, not None"),
+    ({"eval_sets": {"general": 5}}, "eval set 'general' must be a path string, not 5"),
+    ({"pretrain": {"data": {"p": 1}}}, "pretrain 'data' must be a path string"),
+])
+def test_compare_spec_paths_must_be_strings(tmp_path, capsys, monkeypatch, top_level, message):
+    _no_training(monkeypatch)
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"}, **top_level)
+    assert main(["compare", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+    assert not (tmp_path / "cmp").exists()
+
+
 TRAINING_FLAGS = ["--epochs", "2", "--lr-max", "1e-3", "--lr-min", "1e-4",
                   "--warmup-ratio", "0.1", "--batch-size", "4", "--grad-accum", "3"]
 TRAINING_DESTS = ("epochs", "lr_max", "lr_min", "warmup_ratio", "batch_size", "grad_accum")
@@ -435,3 +477,63 @@ def test_bad_checkpoint_manifest_config_is_a_domain_error(tmp_path, capsys, bad,
     assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "manifest.json" in err, err
+
+
+def _drop(field):
+    def edit(tensors):
+        del tensors[0][field]
+    return edit
+
+
+def _set(index, field, value):
+    def edit(tensors):
+        tensors[index][field] = value(tensors[index]) if callable(value) else value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("offset"), "tensor entry 0: missing 'offset'"),
+    (_drop("length"), "tensor entry 0: missing 'length'"),
+    (_drop("layer"), "tensor entry 0: missing 'layer'"),
+    (_drop("name"), "tensor entry 0: missing 'name'"),
+    (_drop("shape"), "tensor entry 0: missing 'shape'"),
+    (_set(0, "offset", "0"), "tensor entry 0: 'offset' must be a non-negative integer"),
+    (_set(1, "offset", -4), "tensor entry 1: 'offset' must be a non-negative integer"),
+    (_set(1, "length", 8192.0), "tensor entry 1: 'length' must be a non-negative integer"),
+    (_set(3, "layer", "0"), "tensor entry 3: 'layer' must be an integer or null"),
+    (_set(3, "name", 7), "tensor entry 3: 'layer' must be an integer or null and 'name'"),
+    (_set(3, "shape", [32, "32"]), "tensor entry 3: 'shape' must be a list of integers"),
+    (_set(3, "shape", 1024), "tensor entry 3: 'shape' must be a list of integers"),
+    (_set(-1, "offset", lambda e: e["offset"] + 4), "beyond params.bin"),
+    (_set(3, "length", lambda e: e["length"] - 4), "is not 4 bytes times shape"),
+    (_set(3, "shape", [16, 64]), "tensor entry 3 (0, 'W_Q'): shape [16, 64] is not a tensor"),
+    (_set(3, "name", "W_Z"), "tensor entry 3 (0, 'W_Z'): shape [32, 32] is not a tensor"),
+    (lambda tensors: tensors.append(dict(tensors[3])), "(0, 'W_Q'): duplicate tensor"),
+    (lambda tensors: tensors.pop(3), "no tensor entry for (0, 'W_Q')"),
+    (lambda tensors: tensors.__setitem__(0, [1, 2]), "tensor entry 0 must be an object"),
+])
+def test_bad_checkpoint_tensor_table_is_a_domain_error(tmp_path, capsys, edit, message):
+    from forge import tinylm
+
+    ckpt = tmp_path / "ckpt"
+    tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG)), ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    assert manifest["tensors"][3]["name"] == "W_Q" and manifest["tensors"][3]["layer"] == 0
+    edit(manifest["tensors"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "manifest.json" in err, err
+
+
+@pytest.mark.parametrize("tensors", [None, {"0": {}}])
+def test_checkpoint_tensor_table_must_be_a_list(tmp_path, capsys, tensors):
+    from forge import tinylm
+
+    ckpt = tmp_path / "ckpt"
+    tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG)), ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["tensors"] = tensors
+    (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
+    assert "'tensors' must be a list" in capsys.readouterr().err

@@ -159,6 +159,36 @@ def test_signatures_match_reference(token_lists):
     assert signatures(token_lists) == [simhash64_reference(t) for t in token_lists]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.lists(_TOKENS, max_size=20), max_size=6), max_size=5))
+def test_signatures_with_a_shared_hash_table_match_reference(blocks):
+    # one table across blocks, as dedup passes it: a token met in an
+    # earlier block is looked up, not rehashed, and the table holds the
+    # FNV-1a hash of every token seen so far
+    known: dict[str, int] = {}
+    for token_lists in blocks:
+        assert signatures(token_lists, known) == [simhash64_reference(t) for t in token_lists]
+    seen = {tok for token_lists in blocks for tokens in token_lists for tok in tokens}
+    assert known == {tok: fnv1a64_reference(tok.encode("utf-8")) for tok in seen}
+
+
+def test_dedup_hashes_each_distinct_token_once(monkeypatch):
+    from forge import refinery
+
+    calls = []
+
+    def counting_fnv1a64(data):
+        calls.append(data)
+        return fnv1a64(data)
+    monkeypatch.setattr(refinery, "fnv1a64", counting_fnv1a64)
+    config = RefineryConfig()
+    records = [_rec(" ".join(VOCAB[i % 40:i % 40 + 8]), " ".join(VOCAB[i % 30:i % 30 + 8]),
+                    seq=i) for i in range(600)]  # crosses two block boundaries
+    dedup(records, config)
+    assert len(calls) == len(set(calls))
+    assert len(calls) == len({tok for r in records for tok in refinery.record_tokens(r, config)})
+
+
 def _band_keys_scalar(signature, radius):
     n_bands = min(max(radius + 1, 1), 64)
     base, rem = divmod(64, n_bands)

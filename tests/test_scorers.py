@@ -1,18 +1,24 @@
 """Scorer bridge tests: wire protocol, out-of-order matching, sidecar
 files, error paths, and transcript replay equivalence."""
 import io
+import json
 import sys
 import textwrap
+import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forge.errors import (
     MissingScore,
     ProtocolViolation,
     ScoreKindMismatch,
     ScorerTimeout,
+    ScorerFailure,
     SidecarParseError,
     SpawnFailure,
+    UnencodableRequest,
 )
 from forge.scorers import (
     RecordingScorer,
@@ -160,6 +166,118 @@ def test_subprocess_bounded_window(tmp_path):
     with SubprocessScorer(_script(tmp_path, ECHO_LANGID), window=2) as scorer:
         resps = scorer.score([langid_request(i, "t") for i in range(10)])
     assert [r.id for r in resps] == list(range(10))
+
+
+# ---------------------------------------------------------------------------
+# request encoding and the chunked transport
+
+# quotes, backslashes, C0 and C1 controls, DEL, the JSON-escaped ASCII
+# controls, U+2028/U+2029, lone surrogates and non-BMP characters
+_WIRE_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x08", "\t", "\n", "\x0c", "\r", "\x1f",
+                     "\x7f", "\x80", "\x9f", "\u2028", "\u2029", "\ud800", "\udfff",
+                     "\U0001f600", "\U0010ffff", "\ufeff"]),
+    st.characters())
+_WIRE_TEXT = st.text(alphabet=_WIRE_CHARS, max_size=24)
+_WIRE_IDS = st.one_of(st.integers(-2**63, 2**63), st.integers(0, 10**300))
+
+
+@settings(max_examples=300)
+@given(_WIRE_IDS, _WIRE_TEXT, _WIRE_TEXT, _WIRE_TEXT, _WIRE_TEXT, _WIRE_TEXT)
+@example(0, "", "", "", "", "")
+@example(2**64, 'a "b" \\ c', "en", "de", "\u2028\x85", "\U0001f600\ud83d")
+def test_to_wire_is_json_dumps(req_id, text, src, trg, src_line, tgt_line):
+    assert langid_request(req_id, text).to_wire() == json.dumps(
+        {"id": req_id, "kind": "langid", "text": text}, ensure_ascii=False)
+    assert quality_request(req_id, src, trg, src_line, tgt_line).to_wire() == json.dumps(
+        {"id": req_id, "kind": "quality", "src": src, "trg": trg,
+         "src_line": src_line, "tgt_line": tgt_line}, ensure_ascii=False)
+
+
+def _score_or_kill(scorer, requests, seconds=60.0):
+    """Score on a worker thread; a transport that deadlocks is killed and
+    reported instead of hanging the test run."""
+    result = {}
+
+    def work():
+        try:
+            result["responses"] = scorer.score(requests)
+        except Exception as e:  # reported below
+            result["error"] = e
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    hung = worker.is_alive()
+    if hung:
+        scorer._proc.kill()
+    scorer.close()
+    assert not hung, "the transport deadlocked"
+    if "error" in result:
+        raise result["error"]
+    return result["responses"]
+
+
+def test_subprocess_chunk_larger_than_the_pipe_buffer(tmp_path):
+    # a 32-line chunk of 8 KiB lines is 256 KiB, four pipe buffers; the
+    # child answers each line with 16 KiB before reading the next, so the
+    # parent must drain stdout while its write of stdin is blocked
+    body = """
+        import json, sys
+        for line in sys.stdin:
+            req = json.loads(line)
+            sys.stdout.write(json.dumps({"id": req["id"], "loss": 1.0, "pad": "\u00fc" * 16384},
+                                        ensure_ascii=False) + "\\n")
+            sys.stdout.flush()
+    """
+    scorer = SubprocessScorer(_script(tmp_path, body), timeout=30.0, window=64)
+    reqs = [quality_request(i, "en", "de", "\u00e4" * 4096, "b" * 4096) for i in range(100)]
+    assert [r.id for r in _score_or_kill(scorer, reqs)] == list(range(100))
+
+
+# Holds every request it has read until no more input comes for 0.5 s,
+# then answers them all; each loss is the most requests it has held.
+HOLDING_CHILD = """
+    import json, os, select, sys
+    held, most, buf = [], 0, b""
+    while True:
+        if select.select([0], [], [], 0.5)[0]:
+            data = os.read(0, 1 << 16)
+            if not data:
+                break
+            *lines, buf = (buf + data).split(b"\\n")
+            held += [json.loads(line)["id"] for line in lines if line.strip()]
+            most = max(most, len(held))
+            continue
+        for rid in held:
+            sys.stdout.write(json.dumps({"id": rid, "loss": float(most)}) + "\\n")
+        sys.stdout.flush()
+        held = []
+"""
+
+
+@pytest.mark.parametrize("window, filled", [(1, 1), (7, 6), (8, 8)])
+def test_subprocess_keeps_at_most_window_requests_in_flight(tmp_path, window, filled):
+    # chunks of window // 2: two chunks fill an even window
+    scorer = SubprocessScorer(_script(tmp_path, HOLDING_CHILD), timeout=30.0, window=window)
+    reqs = [quality_request(i, "en", "de", "a", "b") for i in range(3 * window)]
+    resps = _score_or_kill(scorer, reqs)
+    assert [r.id for r in resps] == list(range(3 * window))
+    assert max(r.loss for r in resps) == filled
+
+
+def test_subprocess_unencodable_request_is_a_typed_error(tmp_path):
+    # a lone surrogate (a JSON "\ud800" escape survives read_records) has no
+    # UTF-8 form; the request fails before its chunk is sent and the
+    # scorer stays usable
+    with SubprocessScorer(_script(tmp_path, ECHO_LANGID), timeout=10.0, window=4) as scorer:
+        reqs = [langid_request(i, "t") for i in range(9)] + [langid_request(9, "x\ud800")]
+        with pytest.raises(UnencodableRequest) as err:
+            scorer.score(reqs)
+        assert isinstance(err.value, ScorerFailure) and not isinstance(err.value, SpawnFailure)
+        assert err.value.request_id == 9 and "id 9" in str(err.value)
+        assert not scorer._outstanding and not scorer._pending
+        resps = scorer.score([langid_request(i, "t") for i in range(6)])
+    assert [r.id for r in resps] == list(range(6))
 
 
 # ---------------------------------------------------------------------------
