@@ -35,9 +35,12 @@ def _load_json(path: str) -> dict:
 
 
 def _global_defaults(args) -> dict:
-    if getattr(args, "config", None):
-        return _load_json(args.config)
-    return {}
+    if not getattr(args, "config", None):
+        return {}
+    defaults = _load_json(args.config)
+    if not isinstance(defaults, dict):
+        raise ForgeError(f"{args.config}: a config file must be an object, not {defaults!r}")
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +53,11 @@ def _open_optional_scorer(spec: str | None) -> Scorer | None:
 def cmd_refine(args) -> int:
     defaults = _global_defaults(args)
     if args.pipeline_config:
-        config = refinery.RefineryConfig.from_json(
-            Path(args.pipeline_config).read_text(encoding="utf-8"))
+        config = _read_config(refinery.RefineryConfig, _load_json(args.pipeline_config),
+                              "refinery config")
     else:
-        config = refinery.RefineryConfig(**defaults.get("refinery", {}))
+        config = _read_config(refinery.RefineryConfig, defaults.get("refinery", {}),
+                              "config 'refinery'")
     if args.strict:
         config.strict = True
 
@@ -172,7 +176,8 @@ def _load_model(args) -> tinylm.ModelParams:
 def _train_config(args) -> trainer.TrainConfig:
     """The --config file's train section with the command-line options
     over it; both are checked by TrainConfig, the file's keys first."""
-    config = _spec_train_config(_global_defaults(args).get("train", {}), "config 'train'")
+    config = _read_config(trainer.TrainConfig, _global_defaults(args).get("train", {}),
+                          "config 'train'")
     options = {name: getattr(args, name, None) for name in (
         "lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
@@ -349,16 +354,28 @@ def _check_int(value, what: str) -> int:
     return value
 
 
-def _spec_train_config(obj, what: str) -> trainer.TrainConfig:
-    """A TrainConfig from a spec object, every key and value type checked."""
-    defaults = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+def _read_config(cls, obj, what: str):
+    """A `cls` config dataclass from a JSON object. Every key must be a
+    field, and every value of the kind of the field's default: true or
+    false, an integer, a number, or a list of strings for a tuple."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     _check_keys(obj, defaults, (), what)
+    values = {}
     for key, value in obj.items():
-        if isinstance(defaults[key], int):
-            _check_int(value, f"{what} {key!r}")
+        default, name = defaults[key], f"{what} {key!r}"
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ForgeError(f"{name} must be true or false, not {value!r}")
+        elif isinstance(default, int):
+            _check_int(value, name)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise ForgeError(f"{name} must be a list of strings, not {value!r}")
+            value = tuple(value)
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ForgeError(f"{what} {key!r} must be a number, not {value!r}")
-    return trainer.TrainConfig(**obj)
+            raise ForgeError(f"{name} must be a number, not {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMode,
@@ -386,7 +403,7 @@ def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMo
                 _check_int(row.get("m", 0), "'m'"),
                 [_check_int(i, "a 'skip' entry") for i in skip],
                 None if "layer" not in row else _check_int(row["layer"], "'layer'"))
-            cfg = _spec_train_config(row.get("train", {}), "train")
+            cfg = _read_config(trainer.TrainConfig, row.get("train", {}), "train")
         except (ForgeError, ValueError) as e:
             raise ForgeError(f"row {row['label']!r}: {e}") from e
         if "seed" not in row.get("train", {}):
@@ -408,7 +425,7 @@ def cmd_compare(args) -> int:
     pre = spec.get("pretrain")
     if pre is not None:
         _check_keys(pre, PRETRAIN_KEYS, ("data",), "pretrain")
-        pre_cfg = _spec_train_config(pre.get("config", {}), "pretrain config")
+        pre_cfg = _read_config(trainer.TrainConfig, pre.get("config", {}), "pretrain config")
         paths.append(("pretrain 'data'", pre["data"]))
     for what, path in paths:
         if not isinstance(path, str):

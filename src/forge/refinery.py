@@ -38,11 +38,6 @@ _FNV_PRIME = 0x100000001B3
 class DropReason(Enum):
     TOO_SHORT = "too_short"
     LENGTH_MISMATCH = "length_mismatch"
-    DUPLICATE = "duplicate"
-    TOO_MANY_CONFLICTS = "too_many_conflicts"
-    LANG_MISMATCH = "lang_mismatch"
-    LOW_CONFIDENCE = "low_confidence"
-    HIGH_LOSS = "high_loss"
 
 
 @dataclass
@@ -67,13 +62,6 @@ class RefineryConfig:
             raise ValueError("hamming_radius must be in [0, simhash_bits)")
         if not 0 < self.quality_percentile < 1:
             raise ValueError("quality_percentile must be in (0, 1)")
-
-    @classmethod
-    def from_json(cls, text: str) -> "RefineryConfig":
-        obj = json.loads(text)
-        if "char_split_langs" in obj:
-            obj["char_split_langs"] = tuple(obj["char_split_langs"])
-        return cls(**obj)
 
 
 @dataclass

@@ -8,15 +8,20 @@ Heavyweight models stay outside the artifact behind one of two handles:
   "tgt_line": S}``, exactly as ``json.dumps(..., ensure_ascii=False)``
   writes them. Response lines: ``{"id":N,"lang":L,"prob":P}`` or
   ``{"id":N,"loss":X}``. Responses may arrive out of order; they are
-  matched by id. Requests are written in chunks of ``window // 2`` lines
-  (at least one), one write per chunk, and the next chunk is written
-  while the previous one is collected, so at most ``window`` requests are
-  in flight. A child may therefore answer before it has read all of its
-  input, and must keep reading stdin while it writes. A response for an
-  id that is not awaiting one (never sent, or already answered) is a
-  protocol violation. A request whose text cannot be encoded as UTF-8
-  (a lone surrogate) raises ``UnencodableRequest`` before any line of its
-  chunk is sent.
+  matched by id. One loop on the calling thread drives both pipes
+  without blocking: requests are queued in chunks of ``window // 2``
+  lines (at least one) while at most ``window`` are sent and not yet
+  taken by the caller, and whatever the pipes take and give is written
+  and read between waits. A child may therefore answer before it has
+  read all of its input, and must keep reading stdin while it writes.
+  Each id gets ``timeout`` seconds from when the caller starts waiting
+  for it. A response line that is not UTF-8, or that answers an id not
+  awaiting one (never sent, or already answered), is a protocol
+  violation. Errors come in request order: the first bad line, or the
+  child's exit, is raised when the caller reaches an id with no answer.
+  Every request of a call is encoded before any line is written, so one
+  whose text cannot be encoded as UTF-8 (a lone surrogate) raises
+  ``UnencodableRequest`` and the child gets none of the call.
 * SidecarScorer -- precomputed scores in a TSV file,
   ``id<TAB>lang<TAB>prob`` or ``id<TAB>loss``, one line per id.
 
@@ -33,12 +38,13 @@ equal to their position in the dev file.
 from __future__ import annotations
 
 import json
+import math
+import os
+import select
 import shlex
 import subprocess
 import sys
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
@@ -140,6 +146,20 @@ def _parse_response_line(line: str) -> ScoreResponse:
         raise ProtocolViolation(line, str(e)) from e
 
 
+def _parse_wire_line(line: bytes, awaiting: set[int]) -> ScoreResponse:
+    """A subprocess response line, which must answer one of the ids in
+    `awaiting`."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ProtocolViolation(line.decode("utf-8", "backslashreplace"),
+                                f"response is not UTF-8 ({e.reason})") from e
+    resp = _parse_response_line(text)
+    if resp.id not in awaiting:
+        raise ProtocolViolation(text, f"response for id {resp.id}, which is not awaiting one")
+    return resp
+
+
 def _encode_chunk(chunk: Sequence[ScoreRequest]) -> bytes:
     """The wire bytes of a chunk of requests, one line each."""
     lines = [req.to_wire() for req in chunk]
@@ -171,141 +191,91 @@ class Scorer:
 
 
 class SubprocessScorer(Scorer):
-    """Talks the line protocol to a child process over stdin/stdout."""
+    """Talks the line protocol to a child process over stdin/stdout, in
+    one loop on the calling thread."""
 
     def __init__(self, command: str | Sequence[str], timeout: float = DEFAULT_TIMEOUT,
                  window: int = DEFAULT_WINDOW):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
-            self._proc = subprocess.Popen(
-                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, encoding="utf-8", bufsize=1)
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, bufsize=0)
         except OSError as e:
             raise SpawnFailure(f"cannot launch {argv!r}: {e}") from e
+        self._stdin, self._stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        os.set_blocking(self._stdin, False)
+        os.set_blocking(self._stdout, False)
         self.timeout = timeout
         self.window = max(1, window)
-        # ids sent and not yet answered, answers not yet taken, and the id
-        # the scoring thread is blocked on; all guarded by _cond
-        self._outstanding: set[int] = set()
-        self._pending: dict[int, ScoreResponse] = {}
-        self._awaited: int | None = None
-        self._reader_error: Exception | None = None
-        self._eof = False
-        self._cond = threading.Condition()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        try:
-            for line in self._proc.stdout:
-                line = line.strip()
-                if not line:
-                    continue
-                resp = _parse_response_line(line)
-                with self._cond:
-                    if resp.id not in self._outstanding:
-                        raise ProtocolViolation(
-                            line, f"response for id {resp.id}, which is not awaiting one")
-                    self._outstanding.remove(resp.id)
-                    self._pending[resp.id] = resp
-                    if resp.id == self._awaited:
-                        self._cond.notify_all()
-        except Exception as e:  # surfaced to the scoring thread
-            with self._cond:
-                self._reader_error = e
-                self._cond.notify_all()
-            return
-        with self._cond:
-            self._eof = True
-            self._cond.notify_all()
-
-    def _await(self, req_id: int, rest: Sequence[ScoreRequest]) -> ScoreResponse:
-        """Wait up to `timeout` for the answer to `req_id`, the first
-        missing id of `rest` (the uncollected part of a chunk); the caller
-        holds _cond.
-
-        The pump wakes this thread only when the last missing id of `rest`
-        arrives, so a child that answers in order costs one wake-up per
-        chunk."""
-        deadline = time.monotonic() + self.timeout
-        while True:
-            target = next(req.id for req in reversed(rest) if req.id not in self._pending)
-            self._awaited = target
-            try:
-                self._cond.wait_for(
-                    lambda: target in self._pending or self._reader_error is not None
-                    or self._eof,
-                    timeout=deadline - time.monotonic())
-            finally:
-                self._awaited = None
-            if req_id in self._pending:
-                return self._pending.pop(req_id)
-            if self._reader_error is not None:
-                raise self._reader_error
-            if self._eof:
-                raise SpawnFailure(f"scorer exited before responding to id {req_id}")
-            if time.monotonic() >= deadline:
-                raise ScorerTimeout(req_id, self.timeout)
-
-    def _collect(self, chunk: Sequence[ScoreRequest]) -> list[ScoreResponse]:
-        """The answers to a sent chunk, in request order."""
-        out = []
-        with self._cond:
-            for i, req in enumerate(chunk):
-                resp = self._pending.pop(req.id, None)
-                if resp is None:
-                    resp = self._await(req.id, chunk[i:])
-                out.append(_answer_to(req, resp))
-        return out
-
-    def _send(self, chunk: Sequence[ScoreRequest], data: bytes) -> None:
-        assert self._proc.stdin is not None
-        # registered before the write: a fast child may answer at once
-        with self._cond:
-            self._outstanding.update(req.id for req in chunk)
-        try:
-            self._proc.stdin.buffer.write(data)
-            self._proc.stdin.buffer.flush()
-        except (BrokenPipeError, ValueError) as e:
-            with self._cond:
-                if self._reader_error is not None:
-                    raise self._reader_error
-            raise SpawnFailure(f"scorer process went away: {e}") from e
 
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
-        out: list[ScoreResponse] = []
         size = max(1, self.window // 2)
-        in_flight: deque[Sequence[ScoreRequest]] = deque()
-        for start in range(0, len(requests), size):
-            chunk = requests[start:start + size]
-            try:
-                data = _encode_chunk(chunk)
-            except UnencodableRequest:
-                # answer what was sent, so no id stays outstanding
-                for sent in in_flight:
-                    self._collect(sent)
-                raise
-            while in_flight and sum(map(len, in_flight)) + len(chunk) > self.window:
-                out.extend(self._collect(in_flight.popleft()))
-            self._send(chunk, data)
-            in_flight.append(chunk)
-        for chunk in in_flight:
-            out.extend(self._collect(chunk))
+        chunks = [requests[i:i + size] for i in range(0, len(requests), size)]
+        wire = [_encode_chunk(chunk) for chunk in chunks]  # before any write
+        answers: dict[int, ScoreResponse] = {}
+        awaiting: set[int] = set()  # ids sent and not yet answered
+        unsent, partial = bytearray(), b""
+        error: ProtocolViolation | None = None  # the first bad line; nothing is read after it
+        eof = False
+        queued = sent = 0
+        out = []
+        for taken, req in enumerate(requests):
+            deadline = None
+            while req.id not in answers:
+                if error is not None:
+                    raise error
+                if eof:
+                    raise SpawnFailure(f"scorer exited before responding to id {req.id}")
+                while queued < len(chunks) and sent + len(chunks[queued]) - taken <= self.window:
+                    awaiting.update(r.id for r in chunks[queued])
+                    unsent += wire[queued]
+                    sent += len(chunks[queued])
+                    queued += 1
+                if unsent:
+                    try:
+                        del unsent[:os.write(self._stdin, unsent)]
+                    except BlockingIOError:
+                        pass
+                    except BrokenPipeError as e:
+                        raise SpawnFailure(f"scorer process went away: {e}") from e
+                try:
+                    data = os.read(self._stdout, 1 << 16)
+                except BlockingIOError:
+                    if deadline is None:
+                        deadline = time.monotonic() + self.timeout
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise ScorerTimeout(req.id, self.timeout) from None
+                    poller = select.poll()
+                    poller.register(self._stdout, select.POLLIN)
+                    if unsent:
+                        poller.register(self._stdin, select.POLLOUT)
+                    poller.poll(math.ceil(left * 1000))
+                    continue
+                if data:
+                    *lines, partial = (partial + data).split(b"\n")
+                else:
+                    lines, partial, eof = [partial], b"", True
+                try:
+                    for line in lines:
+                        line = line.strip()
+                        if line:
+                            resp = _parse_wire_line(line, awaiting)
+                            awaiting.remove(resp.id)
+                            answers[resp.id] = resp
+                except ProtocolViolation as e:
+                    error = e
+            out.append(_answer_to(req, answers.pop(req.id)))
         return out
 
     def close(self) -> None:
-        if self._proc.stdin is not None and not self._proc.stdin.closed:
-            try:
-                self._proc.stdin.close()
-            except BrokenPipeError:
-                pass
+        self._proc.stdin.close()
         try:
             self._proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(timeout=10)
+        self._proc.stdout.close()
 
     def __del__(self):
         try:
@@ -387,10 +357,9 @@ def response_to_sidecar_line(resp: ScoreResponse) -> str:
     return f"{resp.id}\t{resp.lang}\t{resp.prob!r}"
 
 
-def open_scorer(spec: str, timeout: float = DEFAULT_TIMEOUT,
-                window: int = DEFAULT_WINDOW) -> Scorer:
+def open_scorer(spec: str) -> Scorer:
     """Open ``spec`` as a sidecar file if it names an existing file, else
     treat it as a command line to launch."""
     if Path(spec).is_file():
         return SidecarScorer(spec)
-    return SubprocessScorer(spec, timeout=timeout, window=window)
+    return SubprocessScorer(spec)

@@ -1,7 +1,10 @@
 """CLI tests: exit codes, wiring, reproducibility of primary outputs,
 and the make-synth -> refine -> train -> eval smoke chain."""
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -431,6 +434,47 @@ def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
     assert "unknown config 'train' key 'lr'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, content, message", [
+    ("refine", {"nope": 1}, "unknown refinery config key 'nope'"),
+    ("refine", {"min_tokens": "2"}, "refinery config 'min_tokens' must be an integer"),
+    ("refine", {"quality_percentile": "0.9"}, "'quality_percentile' must be a number"),
+    ("refine", {"strict": 1}, "refinery config 'strict' must be true or false, not 1"),
+    ("refine", {"char_split_langs": "zh"}, "'char_split_langs' must be a list of strings"),
+    ("refine", {"char_split_langs": ["zh", 3]}, "'char_split_langs' must be a list of strings"),
+    ("refine", [1], "refinery config must be an object"),
+    ("global", {"refinery": {"nope": 1}}, "unknown config 'refinery' key 'nope'"),
+    ("global", {"refinery": {"hamming_radius": 2.0}}, "'hamming_radius' must be an integer"),
+    ("global", [1], "config file must be an object"),
+])
+def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content), encoding="utf-8")
+    refine = ["refine", "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "o")]
+    argv = refine + ["--config", str(config)] if where == "refine" else \
+        ["--config", str(config)] + refine
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+
+
+def test_non_object_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    _no_training(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text("[1]", encoding="utf-8")
+    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
+                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
+    assert "config file must be an object, not [1]" in capsys.readouterr().err
+
+
+def test_refinery_config_file_values_reach_the_config():
+    from forge import refinery
+    from forge.cli import _read_config
+    obj = {"min_tokens": 3, "min_len_ratio": 1, "strict": True, "char_split_langs": ["ja"]}
+    assert _read_config(refinery.RefineryConfig, obj, "refinery config") == \
+        refinery.RefineryConfig(min_tokens=3, min_len_ratio=1.0, strict=True,
+                                char_split_langs=("ja",))
+
+
 BAD_MODEL_CONFIGS = [
     ({**MODEL_CONFIG, "layers": 3}, "unknown model config key 'layers'"),
     ({k: v for k, v in MODEL_CONFIG.items() if k != "d_ff"}, "missing model config key 'd_ff'"),
@@ -537,3 +581,44 @@ def test_checkpoint_tensor_table_must_be_a_list(tmp_path, capsys, tensors):
     (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
     assert "'tensors' must be a list" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    fences = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    return [body for block_lang, body in fences if block_lang == lang]
+
+
+def test_readme_commands_parse():
+    parser = build_parser()
+    commands = [line for block in _readme_blocks("")
+                for line in block.replace("\\\n", " ").splitlines() if line.startswith("forge ")]
+    assert any(c.startswith("forge analyze-gradients") for c in commands)
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_compare_spec_passes_the_spec_checks(tmp_path, monkeypatch):
+    # the README's model.json and experiment.json, checked as `forge compare`
+    # checks them; reading the first data file ends the run
+    from forge import cli, tinylm
+
+    class Checked(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Checked
+    model, spec = (json.loads(block) for block in _readme_blocks("json"))
+    (tmp_path / "model.json").write_text(json.dumps(model), encoding="utf-8")
+    (tmp_path / "experiment.json").write_text(json.dumps(spec), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_samples", stop)
+    with pytest.raises(Checked):
+        main(["compare", "--spec", "experiment.json", "--out", str(tmp_path / "cmp")])
+    plan = cli._compare_plan(spec, tinylm.ModelConfig.from_dict(model, "model.json").n_layers)
+    assert [(row["label"], mode.kind) for row, mode, _ in plan] == [
+        ("fft", "fft"), ("single-stage", "single-stage"), ("two-stage", "two-stage")]
+    assert all((cfg.lr_max, cfg.epochs, cfg.seed) == (1e-3, 1, 33) for _, _, cfg in plan)

@@ -153,7 +153,8 @@ def test_subprocess_unknown_response_id_rejected(tmp_path):
     with SubprocessScorer(_script(tmp_path, body), timeout=10.0) as scorer:
         with pytest.raises(ProtocolViolation, match="id 1000"):
             scorer.score([quality_request(0, "en", "de", "a", "b")])
-    assert not scorer._pending
+        with pytest.raises(ProtocolViolation, match="id 1000"):
+            scorer.score([quality_request(0, "en", "de", "a", "b")])
 
 
 def test_spawn_failure():
@@ -234,6 +235,24 @@ def test_subprocess_chunk_larger_than_the_pipe_buffer(tmp_path):
     assert [r.id for r in _score_or_kill(scorer, reqs)] == list(range(100))
 
 
+def test_subprocess_child_that_reads_a_whole_chunk_before_answering(tmp_path):
+    # 32 requests of 8 KiB are four pipe buffers: the parent must wake when
+    # stdin drains, not only when stdout has data
+    body = """
+        import json, sys
+        held = []
+        for line in sys.stdin:
+            held.append(json.loads(line)["id"])
+            if len(held) == 32:
+                for rid in held:
+                    print(json.dumps({"id": rid, "loss": 1.0}), flush=True)
+                held = []
+    """
+    scorer = SubprocessScorer(_script(tmp_path, body), timeout=10.0, window=64)
+    reqs = [quality_request(i, "en", "de", "a" * 8192, "b") for i in range(96)]
+    assert [r.id for r in _score_or_kill(scorer, reqs)] == list(range(96))
+
+
 # Holds every request it has read until no more input comes for 0.5 s,
 # then answers them all; each loss is the most requests it has held.
 HOLDING_CHILD = """
@@ -275,9 +294,79 @@ def test_subprocess_unencodable_request_is_a_typed_error(tmp_path):
             scorer.score(reqs)
         assert isinstance(err.value, ScorerFailure) and not isinstance(err.value, SpawnFailure)
         assert err.value.request_id == 9 and "id 9" in str(err.value)
-        assert not scorer._outstanding and not scorer._pending
         resps = scorer.score([langid_request(i, "t") for i in range(6)])
     assert [r.id for r in resps] == list(range(6))
+
+
+# answers each request with the number of requests it has read so far
+COUNTING_CHILD = """
+    import json, sys
+    for n, line in enumerate(sys.stdin, start=1):
+        print(json.dumps({"id": json.loads(line)["id"], "loss": float(n)}), flush=True)
+"""
+
+
+def test_subprocess_unencodable_request_writes_nothing(tmp_path):
+    # the unencodable 10th request fails the call before any of its lines
+    # reaches the child, so the child's next answer is its first
+    with SubprocessScorer(_script(tmp_path, COUNTING_CHILD), timeout=10.0, window=4) as scorer:
+        reqs = [quality_request(i, "en", "de", "a", "b") for i in range(9)]
+        reqs.append(quality_request(9, "en", "de", "x\ud800", "b"))
+        with pytest.raises(UnencodableRequest):
+            scorer.score(reqs)
+        [resp] = scorer.score([quality_request(0, "en", "de", "a", "b")])
+    assert resp.loss == 1.0
+
+
+def test_subprocess_non_utf8_response_is_a_protocol_violation(tmp_path):
+    body = """
+        import sys
+        for line in sys.stdin:
+            sys.stdout.buffer.write(b'{"id": 0, "loss": 1.0, "pad": "\\xff"}\\n')
+            sys.stdout.flush()
+    """
+    with SubprocessScorer(_script(tmp_path, body), timeout=10.0) as scorer:
+        with pytest.raises(ProtocolViolation, match="UTF-8"):
+            scorer.score([quality_request(0, "en", "de", "a", "b")])
+
+
+def test_subprocess_response_split_inside_a_character(tmp_path):
+    # "ü" is the two bytes c3 bc; the first flush ends between them
+    body = """
+        import sys, time
+        for line in sys.stdin:
+            sys.stdout.buffer.write(b'{"id": 0, "loss": 2.5, "pad": "\\xc3')
+            sys.stdout.flush()
+            time.sleep(0.2)
+            sys.stdout.buffer.write(b'\\xbc"}\\n')
+            sys.stdout.flush()
+    """
+    with SubprocessScorer(_script(tmp_path, body), timeout=10.0) as scorer:
+        [resp] = scorer.score([quality_request(0, "en", "de", "a", "b")])
+    assert (resp.id, resp.loss) == (0, 2.5)
+
+
+def test_close_lets_the_child_finish_writing(tmp_path):
+    # a child that writes once its input ends still exits cleanly
+    body = """
+        import sys
+        sys.stdin.read()
+        sys.stdout.write("x" * 1000 + "\\n")
+        sys.stdout.flush()
+    """
+    scorer = SubprocessScorer(_script(tmp_path, body))
+    scorer.close()
+    assert scorer._proc.returncode == 0
+
+
+def test_subprocess_scorer_starts_no_thread(tmp_path):
+    before = threading.active_count()
+    with SubprocessScorer(_script(tmp_path, ECHO_LANGID), window=4) as scorer:
+        assert threading.active_count() == before
+        resps = scorer.score([langid_request(i, "t") for i in range(10)])
+        assert threading.active_count() == before
+    assert [r.id for r in resps] == list(range(10))
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
