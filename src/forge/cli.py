@@ -38,8 +38,7 @@ def _global_defaults(args) -> dict:
     if not getattr(args, "config", None):
         return {}
     defaults = _load_json(args.config)
-    if not isinstance(defaults, dict):
-        raise ForgeError(f"{args.config}: a config file must be an object, not {defaults!r}")
+    _check_keys(defaults, ("model", "train", "refinery"), (), "config file")
     return defaults
 
 
@@ -140,8 +139,11 @@ def _sniff_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
                 break
     if not first:
         return []
-    obj = json.loads(first)
-    if "prompt" in obj:
+    try:
+        obj = json.loads(first)
+    except json.JSONDecodeError:
+        obj = None  # read_samples names the line
+    if not isinstance(obj, dict) or "prompt" in obj:
         return synth.read_samples(path)
     if "src" in obj:
         records = list(read_records(_read_lines(str(path))))
@@ -292,6 +294,9 @@ def cmd_sweep(args) -> int:
 # analyze-gradients
 
 def cmd_analyze(args) -> int:
+    for flag, count in (("--batches", args.batches), ("--batch-size", args.batch_size)):
+        if count < 1:
+            raise ForgeError(f"{flag} must be at least 1, not {count}")
     params = tinylm.load_checkpoint(args.checkpoint)
     samples = load_samples(args.data, params.config.vocab_size)
     batches = synth.make_batches(samples, args.batch_size)[:args.batches]
@@ -380,8 +385,10 @@ def _read_config(cls, obj, what: str):
 
 def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMode,
                                                             trainer.TrainConfig]]:
-    """Check every row of the spec and resolve its mode and train config,
-    so that a bad row fails before anything trains."""
+    """Check every row of the spec and the spec's seed, and resolve each
+    row's mode and train config, so that a bad row fails before anything
+    trains. A row without a train seed of its own takes the spec's."""
+    seed = _check_int(spec.get("seed", 0), "spec 'seed'")
     labels = []
     for row in spec["rows"]:
         if not isinstance(row, dict) or not isinstance(row.get("label"), str):
@@ -407,7 +414,7 @@ def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMo
         except (ForgeError, ValueError) as e:
             raise ForgeError(f"row {row['label']!r}: {e}") from e
         if "seed" not in row.get("train", {}):
-            cfg.seed = _check_int(spec.get("seed", 0), "spec 'seed'")
+            cfg.seed = seed
         plan.append((row, mode, cfg))
     return plan
 

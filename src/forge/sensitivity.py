@@ -165,19 +165,13 @@ def layer_gradient_report(params: ModelParams, batches: list[Batch],
     config = params.config
     keys = [(layer, name) for layer in range(config.n_layers)
             for name in ("W_Q", "W_K", "W_V")]
-    if accumulate:
-        acc = None
-        for batch in batches:
-            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
-            stack = np.stack([grads[key] for key in keys])
-            acc = stack if acc is None else acc + stack
-        values = nuclear_norms(acc)
-    else:
-        values = np.zeros(len(keys))
-        for batch in batches:
-            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
-            values += nuclear_norms(np.stack([grads[key] for key in keys]))
-        values /= len(batches)
+    total = None
+    for batch in batches:
+        _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
+        stack = np.stack([grads[key] for key in keys])
+        term = stack if accumulate else nuclear_norms(stack)
+        total = term if total is None else total + term
+    values = nuclear_norms(total) if accumulate else total / len(batches)
     norms = dict(zip(keys, values.tolist()))
     report = GradientReport(
         probe=ProbeSpec(dataset_id=dataset_id, batch_count=len(batches), seed=seed))

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ForgeError
 from .records import ParallelRecord
 # greedy_decode stays importable from here for existing callers.
 from .tinylm import (  # noqa: F401
@@ -31,6 +32,7 @@ from .tinylm import (  # noqa: F401
     forward,
     greedy_decode,
     masked_positions,
+    next_token_nll,
 )
 
 PAD, SEP, TASK_TRANSLATE, TASK_CONTINUE = 0, 1, 2, 3
@@ -221,13 +223,9 @@ def evaluate(params: ModelParams, eval_set: EvalSet, batch_size: int = 32
     total_tokens = 0
     for batch in make_batches(eval_set.samples, batch_size):
         logits, _ = forward(params, batch, keep=False)
-        pred = logits[:, :-1, :]
-        targets = batch.ids[:, 1:]
-        shifted = pred - np.max(pred, axis=-1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=-1))
-        tl = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
+        nll, _, _ = next_token_nll(logits, batch.ids)
         m = masked_positions(batch)
-        total_nll += float(np.sum((logz - tl) * m))
+        total_nll += float(np.sum(nll * m))
         total_tokens += int(m.sum())
 
     decoded = decode_responses(params, eval_set.samples, batch_size)
@@ -280,13 +278,28 @@ def write_samples(samples: Iterable[Sample], path: str | Path) -> None:
                                 "response": list(s.response)}) + "\n")
 
 
+def _is_token_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(t, int) and not isinstance(t, bool) for t in value)
+
+
 def read_samples(path: str | Path) -> list[Sample]:
+    """Token samples, one object per non-blank line whose "prompt" and
+    "response" are lists of integers; any other line is a ForgeError."""
     samples = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            if not (isinstance(obj, dict) and _is_token_list(obj.get("prompt"))
+                    and _is_token_list(obj.get("response"))):
+                raise ForgeError(f"{path} line {number}: a token sample must be an object "
+                                 f"whose 'prompt' and 'response' are lists of integers, "
+                                 f"not {line.strip()[:80]!r}")
             samples.append(Sample(prompt=tuple(obj["prompt"]),
                                   response=tuple(obj["response"])))
     return samples

@@ -7,12 +7,12 @@ gains, learned absolute positions, input/output embeddings tied.
 
 The block math is written once, in block_forward and block_backward;
 the training forward, the cache-free forward of evaluation and the
-key/value-cached decoder all run it. Backward computes the gradients of
-a needed set of parameters (all by default) and skips the work that
-feeds only the others, and it can start from the residual stream at a
-block boundary instead of the embeddings. A frozen block below every
-trained one then costs at most its forward pass. Default dtype is
-float32; pass float64 for high-precision gradient checks.
+key/value-cached decoder all run it. Backward computes a weight gradient
+only for a needed key (all by default), runs the gradient chain down to
+the lowest block with a needed key, and can start from the residual
+stream at a block boundary instead of the embeddings; a frozen block
+below every trained one then costs at most its forward pass. Default
+dtype is float32; pass float64 for high-precision gradient checks.
 """
 from __future__ import annotations
 
@@ -33,8 +33,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 LAYER_TENSORS = ("attn_gain", "W_Q", "W_K", "W_V", "W_O", "mlp_gain", "W_1", "W_2")
 GLOBAL_TENSORS = ("tok_emb", "pos_emb", "final_gain")
-# The order in which block_backward reaches a block's gradients.
-_BACKWARD_ORDER = ("W_2", "W_1", "mlp_gain", "W_O", "W_Q", "W_K", "W_V", "attn_gain")
 
 ParamKey = tuple[int | None, str]  # (layer index, name); None = global
 
@@ -283,37 +281,26 @@ def block_backward(params: ModelParams, layer: int, lc: dict, dy: np.ndarray,
     """Backward through block `layer` from the gradient dy at its output,
     given the activations block_forward cached in lc. Stores the gradients
     of the layer's tensors in need into grads and returns the gradient at
-    the block input, or None unless below. A step whose result feeds
-    nothing asked for is skipped."""
+    the block input, or None unless below. The chain's last step, back
+    through the attention norm, runs only if below or attn_gain is needed."""
     config = params.config
     d, f = config.d_model, config.d_ff
-    # the last step of _BACKWARD_ORDER (len() for the block input) needed
-    depth = len(_BACKWARD_ORDER) if below else max(
-        (i for i, name in enumerate(_BACKWARD_ORDER) if (layer, name) in need), default=-1)
 
     # MLP branch
     if (layer, "W_2") in need:
         grads[(layer, "W_2")] = lc["act"].reshape(-1, f).T @ dy.reshape(-1, d)
-    if depth < 1:
-        return None
     dpre = _gelu_backward(dy @ params[(layer, "W_2")].T, lc["pre"], lc["cdf"])
     if (layer, "W_1") in need:
         grads[(layer, "W_1")] = lc["normed2"].reshape(-1, d).T @ dpre.reshape(-1, f)
-    if depth < 2:
-        return None
     dx_mid, dgain2 = _rmsnorm_backward(dpre @ params[(layer, "W_1")].T,
                                        params[(layer, "mlp_gain")], lc["xhat2"], lc["r2"])
     if (layer, "mlp_gain") in need:
         grads[(layer, "mlp_gain")] = dgain2
-    if depth < 3:
-        return None
     dx = dy + dx_mid
 
     # attention branch
     if (layer, "W_O") in need:
         grads[(layer, "W_O")] = lc["z"].reshape(-1, d).T @ dx.reshape(-1, d)
-    if depth < 4:
-        return None
     scale = 1.0 / math.sqrt(config.head_dim)
     probs = lc["probs"]
     dz = _split_heads(dx @ params[(layer, "W_O")].T, config.n_heads)
@@ -327,7 +314,7 @@ def block_backward(params: ModelParams, layer: int, lc: dict, dy: np.ndarray,
     for name, g in dqkv.items():
         if (layer, name) in need:
             grads[(layer, name)] = normed1_flat.T @ g.reshape(-1, d)
-    if depth < 7:
+    if not below and (layer, "attn_gain") not in need:
         return None
     dnormed1 = (dqkv["W_Q"] @ params[(layer, "W_Q")].T
                 + dqkv["W_K"] @ params[(layer, "W_K")].T
@@ -372,6 +359,18 @@ def masked_positions(batch: Batch) -> np.ndarray:
     return batch.mask[:, 1:].astype(bool)
 
 
+def next_token_nll(logits: np.ndarray, ids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negative log-likelihood [B,T-1] of tokens 1..T-1 of ids [B,T], each
+    under the logits [B,T,V] before it, plus the max-shifted logits
+    [B,T-1,V] and their log-partition [B,T-1] that the backward reuses."""
+    pred = logits[:, :-1, :]
+    shifted = pred - np.max(pred, axis=-1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=-1))
+    target_logit = np.take_along_axis(shifted, ids[:, 1:, None], axis=-1)[..., 0]
+    return logz - target_logit, shifted, logz
+
+
 def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0,
                       need=None, boundary: tuple[int, np.ndarray] | None = None
                       ) -> tuple[float, dict[ParamKey, np.ndarray]]:
@@ -406,19 +405,15 @@ def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
         (layer for layer, _ in need if layer is not None), default=config.n_layers)
     first, x = (0, embed(params, ids)) if boundary is None else boundary
     if first > stop:
-        raise ValueError(f"a boundary at block {first} cannot give gradients below it")
+        raise ValueError(f"a needed gradient lies below the boundary at block {first}")
     logits, cache = _forward(params, x, first, stop)
 
-    pred = logits[:, :-1, :]
-    targets = ids[:, 1:]
-    shifted = pred - np.max(pred, axis=-1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=-1))
-    target_logit = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-    nll = logz - target_logit
+    nll, shifted, logz = next_token_nll(logits, ids)
     loss = float(np.sum(nll * m) / n_masked) * loss_scale
     if not need:
         return loss, {}
 
+    targets = ids[:, 1:]
     probs = np.exp(shifted - logz[..., None])
     dpred = probs
     np.put_along_axis(

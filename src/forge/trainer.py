@@ -33,10 +33,6 @@ from .tinylm import (
 
 @dataclass(frozen=True)
 class LayerSelection:
-    n_layers: int
-    bottom_k: int
-    top_m: int
-    skip: frozenset[int]
     stage1_layers: frozenset[int]
     stage2_layers: frozenset[int]
 
@@ -58,7 +54,7 @@ def select_layers(n_layers: int, k: int, m: int, skip=()) -> LayerSelection:
     if stage1 & stage2:
         raise OverlappingStages(
             f"bottom-{k} and top-{m} overlap on layers {sorted(stage1 & stage2)}")
-    return LayerSelection(n_layers, k, m, skip_set, stage1, stage2)
+    return LayerSelection(stage1, stage2)
 
 
 @dataclass
@@ -121,11 +117,6 @@ class TrainMode:
     def single_layer(cls, layer: int) -> "TrainMode":
         return cls("single-layer", layer=layer)
 
-    def label(self) -> str:
-        if self.kind == "single-layer":
-            return f"single-layer:{self.layer}"
-        return self.kind
-
 
 def stage_plan(mode: TrainMode, n_layers: int) -> list[tuple[str, set[ParamKey]]]:
     """Resolve a mode into (stage name, trainable parameter keys) pairs."""
@@ -144,8 +135,6 @@ def stage_plan(mode: TrainMode, n_layers: int) -> list[tuple[str, set[ParamKey]]
         keys.update(global_keys())
         return [("fft", keys)]
     if mode.kind == "single-layer":
-        if not 0 <= mode.layer < n_layers:
-            raise IndexOutOfRange(f"layer {mode.layer} outside 0..{n_layers - 1}")
         return [(f"layer{mode.layer}", resolve_layer_keys_for({mode.layer}, n_layers))]
     raise ValueError(f"unknown mode {mode.kind!r}")
 
@@ -260,17 +249,14 @@ def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
     fresh optimizer and schedule over the same data order.
 
     A boundary (layer, xs) gives, for each batch, the residual stream
-    entering block layer under start_params. No stage may train below
-    that block, so it stays valid throughout, and every forward pass
-    starts there."""
+    entering block layer under start_params, and every forward pass
+    starts there. No stage may train below that block, so it stays valid
+    throughout; loss_and_backward rejects a stage that does before its
+    first update."""
     t0 = time.monotonic()
     params = start_params.clone()
     result = TrainResult(params=params)
-    plan = stage_plan(mode, params.config.n_layers)
-    if boundary is not None and any(key[0] is None or key[0] < boundary[0]
-                                    for _, trainable in plan for key in trainable):
-        raise ValueError(f"{mode.label()} trains below the boundary at block {boundary[0]}")
-    for stage, trainable in plan:
+    for stage, trainable in stage_plan(mode, params.config.n_layers):
         if not trainable:
             result.log.append({"stage": stage, "skipped": True})
         else:

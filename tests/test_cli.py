@@ -347,6 +347,20 @@ def test_compare_spec_paths_must_be_strings(tmp_path, capsys, monkeypatch, top_l
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_spec_seed_is_checked_when_every_row_has_its_own(
+        tmp_path, capsys, monkeypatch):
+    _no_training(monkeypatch)
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"}, seed="not-a-seed")
+    spec = json.loads(spec_path.read_text())
+    for row in spec["rows"]:
+        row.setdefault("train", {})["seed"] = 1
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["compare", "--spec", str(spec_path)]) == 1
+    err = capsys.readouterr().err
+    assert "spec 'seed' must be an integer, not 'not-a-seed'" in err, err
+    assert not (tmp_path / "cmp").exists()
+
+
 TRAINING_FLAGS = ["--epochs", "2", "--lr-max", "1e-3", "--lr-min", "1e-4",
                   "--warmup-ratio", "0.1", "--batch-size", "4", "--grad-accum", "3"]
 TRAINING_DESTS = ("epochs", "lr_max", "lr_min", "warmup_ratio", "batch_size", "grad_accum")
@@ -445,6 +459,7 @@ def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
     ("global", {"refinery": {"nope": 1}}, "unknown config 'refinery' key 'nope'"),
     ("global", {"refinery": {"hamming_radius": 2.0}}, "'hamming_radius' must be an integer"),
     ("global", [1], "config file must be an object"),
+    ("global", {"refinary": {"min_tokens": 100}}, "unknown config file key 'refinary'"),
 ])
 def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content, message):
     config = tmp_path / "config.json"
@@ -455,6 +470,16 @@ def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+
+
+def test_unknown_config_file_section_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    _no_training(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trian": {"epochs": 0}}), encoding="utf-8")
+    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
+                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config file key 'trian'" in err, err
 
 
 def test_non_object_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch):
@@ -581,6 +606,52 @@ def test_checkpoint_tensor_table_must_be_a_list(tmp_path, capsys, tensors):
     (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
     assert "'tensors' must be a list" in capsys.readouterr().err
+
+
+def _checkpoint(tmp_path):
+    from forge import tinylm
+    path = tmp_path / "ckpt"
+    tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("line", [
+    '{"prompt": [2, 5, 1]}',
+    "[1, 2]",
+    "5",
+    '{"prompt": [2, 5, 1], "response": "ab"}',
+    '{"prompt": [2, 5.5, 1], "response": [6]}',
+    '{"prompt": [2, true, 1], "response": [6]}',
+    '{"prompt": [2, 5, 1], "response": [6]',
+])
+def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line):
+    # train meets the bad line first, eval after a good line and a blank one
+    good = json.dumps({"prompt": [2, 5, 1], "response": [6, 7]})
+    data = tmp_path / "samples.jsonl"
+    first = command == "train"
+    lines = [line, good] if first else [good, "", line]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {"train": ["train", "--mode", "fft", "--out", str(tmp_path / "run"),
+                      "--model-config", str(_write_model_config(tmp_path))],
+            "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path))]}[command]
+    assert main(argv + ["--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert f"{data} line {1 if first else 3}" in err, err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--batches", "-1"), ("--batches", "0"), ("--batch-size", "0"), ("--batch-size", "-3")])
+def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value):
+    assert main(["make-synth", "--task", "translation", "--n", "80", "--seed", "1",
+                 "--out", str(tmp_path / "synth")]) == 0
+    out = tmp_path / "report.csv"
+    assert main(["analyze-gradients", "--checkpoint", str(_checkpoint(tmp_path)),
+                 "--data", str(tmp_path / "synth"), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{flag} must be at least 1" in err, err
+    assert not out.exists()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
