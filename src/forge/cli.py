@@ -144,7 +144,7 @@ def _sniff_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
     except json.JSONDecodeError:
         obj = None  # read_samples names the line
     if not isinstance(obj, dict) or "prompt" in obj:
-        return synth.read_samples(path)
+        return synth.read_samples(path, vocab_size)
     if "src" in obj:
         records = list(read_records(_read_lines(str(path))))
         return [synth.record_to_sample(r, vocab_size) for r in records]

@@ -28,7 +28,6 @@ from .records import ParallelRecord
 from .tinylm import (  # noqa: F401
     Batch,
     ModelParams,
-    decode_batch,
     forward,
     greedy_decode,
     masked_positions,
@@ -193,43 +192,33 @@ def make_batches(samples: Sequence[Sample], batch_size: int) -> list[Batch]:
     return batches
 
 
-def decode_responses(params: ModelParams, samples: Sequence[Sample], batch_size: int = 32
-                     ) -> list[tuple[int, ...]]:
-    """Greedy decoding of each sample's response span, in sample order.
-
-    Samples are decoded batch_size at a time among those with the same
-    prompt length (positions are absolute, so prompts cannot be padded),
-    each batch to its longest response. Decoding is causal, so a shorter
-    response is the prefix of that run."""
-    by_length: dict[int, list[int]] = {}
-    for i, sample in enumerate(samples):
-        by_length.setdefault(len(sample.prompt), []).append(i)
-    decoded: list[tuple[int, ...]] = [()] * len(samples)
-    for group in by_length.values():
-        for start in range(0, len(group), batch_size):
-            chunk = group[start:start + batch_size]
-            n_tokens = max(len(samples[i].response) for i in chunk)
-            out = decode_batch(params, np.array([samples[i].prompt for i in chunk]), n_tokens)
-            for i, row in zip(chunk, out.tolist()):
-                decoded[i] = tuple(row[:len(samples[i].response)])
-    return decoded
-
-
 def evaluate(params: ModelParams, eval_set: EvalSet, batch_size: int = 32
              ) -> EvalResult:
     """Mean masked cross-entropy over all supervised tokens plus exact
-    match under greedy decoding of the response span. Read-only."""
+    match under greedy decoding of the response span, both from one
+    forward per batch. Read-only.
+
+    A response is what greedy decoding would produce exactly when each of
+    its tokens is the argmax of the logits one position before it: the
+    model is causal, so while the decoded tokens equal the response, the
+    decoder sees the same prefix as this teacher-forced forward. The
+    argmax is taken on the raw logits, because subtracting the row
+    maximum can round two different logits to one value. A sample needs
+    a prompt, the position its first response token is predicted from."""
+    if any(not sample.prompt for sample in eval_set.samples):
+        raise ValueError("a sample with an empty prompt has no position to decode from")
     total_nll = 0.0
     total_tokens = 0
+    matches = 0
     for batch in make_batches(eval_set.samples, batch_size):
         logits, _ = forward(params, batch, keep=False)
         nll, _, _ = next_token_nll(logits, batch.ids)
         m = masked_positions(batch)
         total_nll += float(np.sum(nll * m))
         total_tokens += int(m.sum())
+        hit = np.argmax(logits[:, :-1], axis=-1) == batch.ids[:, 1:]
+        matches += int(np.all(hit | ~m, axis=1).sum())
 
-    decoded = decode_responses(params, eval_set.samples, batch_size)
-    matches = sum(d == s.response for d, s in zip(decoded, eval_set.samples))
     n = len(eval_set.samples)
     return EvalResult(
         task_id=eval_set.task_id,
@@ -283,9 +272,10 @@ def _is_token_list(value) -> bool:
         isinstance(t, int) and not isinstance(t, bool) for t in value)
 
 
-def read_samples(path: str | Path) -> list[Sample]:
+def read_samples(path: str | Path, vocab_size: int) -> list[Sample]:
     """Token samples, one object per non-blank line whose "prompt" and
-    "response" are lists of integers; any other line is a ForgeError."""
+    "response" are non-empty lists of token ids in [0, vocab_size); any
+    other line is a ForgeError naming the file and line."""
     samples = []
     with open(path, "r", encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
@@ -295,11 +285,19 @@ def read_samples(path: str | Path) -> list[Sample]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 obj = None
+            where = f"{path} line {number}"
             if not (isinstance(obj, dict) and _is_token_list(obj.get("prompt"))
                     and _is_token_list(obj.get("response"))):
-                raise ForgeError(f"{path} line {number}: a token sample must be an object "
+                raise ForgeError(f"{where}: a token sample must be an object "
                                  f"whose 'prompt' and 'response' are lists of integers, "
                                  f"not {line.strip()[:80]!r}")
+            for field in ("prompt", "response"):
+                if not obj[field]:
+                    raise ForgeError(f"{where}: {field!r} is empty")
+                outside = [t for t in obj[field] if not 0 <= t < vocab_size]
+                if outside:
+                    raise ForgeError(f"{where}: token id {outside[0]} in {field!r} lies "
+                                     f"outside the vocabulary [0, {vocab_size})")
             samples.append(Sample(prompt=tuple(obj["prompt"]),
                                   response=tuple(obj["response"])))
     return samples

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -469,7 +470,9 @@ def decode_batch(params: ModelParams, prompts: np.ndarray, n_tokens: int) -> np.
     step re-runs the last max_seq_len tokens from position 0, the window
     of a full re-forward per step. Logits differ from a full forward
     only in rounding (other matrix shapes), so what is compared against
-    it is the tokens."""
+    it is the tokens. This is greedy_decode's engine; synth.evaluate
+    needs no decoding, because its exact match is the argmax test on
+    the teacher-forced logits."""
     config = params.config
     prompts = np.asarray(prompts, dtype=np.int64)
     b, p = prompts.shape
@@ -502,6 +505,10 @@ def greedy_decode(params: ModelParams, prompt_ids: list[int], n_tokens: int) -> 
 # Checkpoint format: manifest.json + flat little-endian float32 blob
 
 def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
+    """Write params to out_dir as params.bin and manifest.json. Both are
+    written under temporary names in out_dir, then renamed over the old
+    files, params.bin first and the manifest last; a save that fails
+    before the renames leaves the previous checkpoint as it was."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -514,8 +521,15 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
         offset += len(data)
         blobs.append(data)
     manifest = {"config": json.loads(params.config.to_json()), "tensors": entries}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
-    (out_dir / "params.bin").write_bytes(b"".join(blobs))
+    staged = {name: out_dir / f"{name}.tmp" for name in ("params.bin", "manifest.json")}
+    try:
+        staged["params.bin"].write_bytes(b"".join(blobs))
+        staged["manifest.json"].write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+        for name, path in staged.items():
+            os.replace(path, out_dir / name)
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
 
 
 def _is_count(value) -> bool:

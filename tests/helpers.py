@@ -13,7 +13,7 @@ import numpy as np
 
 from forge.records import ParallelRecord
 from forge.refinery import RefineryConfig, hamming, record_signature
-from forge.tinylm import Batch, forward
+from forge.tinylm import Batch, decode_batch, forward
 
 
 def fnv1a64_reference(data: bytes) -> int:
@@ -97,6 +97,28 @@ def greedy_decode_reference(params, prompt_ids, n_tokens: int) -> list[int]:
         out.append(nxt)
         ids.append(nxt)
     return out
+
+
+def decode_responses(params, samples, batch_size: int = 32) -> list[tuple[int, ...]]:
+    """Greedy decoding of each sample's response span through the batched
+    key/value-cached decoder, in sample order.
+
+    Samples are decoded batch_size at a time among those with the same
+    prompt length (positions are absolute, so prompts cannot be padded),
+    each batch to its longest response. Decoding is causal, so a shorter
+    response is the prefix of that run."""
+    by_length: dict[int, list[int]] = {}
+    for i, sample in enumerate(samples):
+        by_length.setdefault(len(sample.prompt), []).append(i)
+    decoded: list[tuple[int, ...]] = [()] * len(samples)
+    for group in by_length.values():
+        for start in range(0, len(group), batch_size):
+            chunk = group[start:start + batch_size]
+            n_tokens = max(len(samples[i].response) for i in chunk)
+            out = decode_batch(params, np.array([samples[i].prompt for i in chunk]), n_tokens)
+            for i, row in zip(chunk, out.tolist()):
+                decoded[i] = tuple(row[:len(samples[i].response)])
+    return decoded
 
 
 def svd_nuclear_norm(matrix) -> float:

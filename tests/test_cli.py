@@ -624,6 +624,10 @@ def _checkpoint(tmp_path):
     '{"prompt": [2, 5.5, 1], "response": [6]}',
     '{"prompt": [2, true, 1], "response": [6]}',
     '{"prompt": [2, 5, 1], "response": [6]',
+    '{"prompt": [2, 1], "response": []}',
+    '{"prompt": [], "response": [5, 6]}',
+    '{"prompt": [2, -5, 1], "response": [6]}',
+    '{"prompt": [2, 5, 1], "response": [6, 64]}',
 ])
 def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line):
     # train meets the bad line first, eval after a good line and a blank one

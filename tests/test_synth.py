@@ -15,7 +15,6 @@ from forge.synth import (
     Sample,
     SynthLangSpec,
     apply_mapping,
-    decode_responses,
     evaluate,
     gen_general_corpus,
     gen_translation_corpus,
@@ -27,7 +26,7 @@ from forge.synth import (
 )
 from forge.tinylm import ModelConfig, init
 
-from helpers import greedy_decode_reference, params_digest
+from helpers import decode_responses, greedy_decode_reference, params_digest
 from reference_run import build_reference
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
@@ -204,6 +203,58 @@ def test_reference_evaluations_decode_like_the_reference():
             assert decode_responses(params, eval_set.samples) == want
 
 
+def test_evaluate_runs_one_forward_per_batch_and_decodes_nothing(monkeypatch):
+    import forge.synth
+    import forge.tinylm
+
+    spec = SynthLangSpec(vocab_size=32, perm_seed=3, min_len=3, max_len=5)
+    _, eval_set = gen_translation_corpus(spec, 140, seed=11)
+    calls = []
+    real_forward = forge.synth.forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(kwargs.get("keep"))
+        return real_forward(*args, **kwargs)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("evaluate decoded")
+
+    monkeypatch.setattr(forge.synth, "forward", counting_forward)
+    monkeypatch.setattr(forge.tinylm, "decode_batch", no_decode)
+    # every cached decode step runs _extend, whatever name reached decode_batch
+    monkeypatch.setattr(forge.tinylm, "_extend", no_decode)
+    evaluate(init(CFG), eval_set, batch_size=3)
+    assert calls == [False] * len(make_batches(eval_set.samples, 3))
+
+
+def test_evaluate_rejects_an_empty_prompt():
+    samples = [Sample(prompt=(TASK_TRANSLATE, 5, SEP), response=(6,)),
+               Sample(prompt=(), response=(5, 6))]
+    with pytest.raises(ValueError, match="empty prompt"):
+        evaluate(init(CFG), EvalSet("empty", samples))
+
+
+def test_reference_models_match_their_own_greedy_decodes():
+    """Eval sets whose responses are the reference decoder's outputs are
+    exact matches on every reference model; one changed token per
+    sample makes every sample miss."""
+    reference = build_reference()
+    rng = np.random.default_rng(0)
+    vocab = reference.start.config.vocab_size
+    for params in (reference.start, reference.two_stage.params, reference.fft.params):
+        for eval_set in (reference.translation_eval, reference.general_eval):
+            decoded = [Sample(s.prompt, tuple(greedy_decode_reference(
+                params, s.prompt, len(s.response)))) for s in eval_set.samples]
+            assert evaluate(params, EvalSet("decoded", decoded)).exact_match == 1.0
+            changed = []
+            for s in decoded:
+                response = list(s.response)
+                i = int(rng.integers(len(response)))
+                response[i] = (response[i] + int(rng.integers(1, vocab))) % vocab
+                changed.append(Sample(s.prompt, tuple(response)))
+            assert evaluate(params, EvalSet("changed", changed)).exact_match == 0.0
+
+
 # ---------------------------------------------------------------------------
 # record round trip
 
@@ -231,4 +282,4 @@ def test_write_read_samples_round_trip(tmp_path):
     train, _ = gen_translation_corpus(spec, 25, seed=14)
     path = tmp_path / "samples.jsonl"
     write_samples(train, path)
-    assert read_samples(path) == train
+    assert read_samples(path, spec.vocab_size) == train

@@ -1,5 +1,8 @@
 """Model tests: seeded init, forward contracts, the finite-difference
 gradient oracle, param-path enumeration, and the checkpoint codec."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -303,6 +306,29 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(tmp_path / "ckpt")
     assert loaded.config == CFG
     assert params_digest(loaded) == params_digest(params)
+
+
+def test_a_failed_checkpoint_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init(CFG), ckpt)
+    before = {path.name: path.read_bytes() for path in ckpt.iterdir()}
+    writes = []
+
+    def failing(write):
+        def second_write_fails(self, *args, **kwargs):
+            writes.append(self.name)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return write(self, *args, **kwargs)
+        return second_write_fails
+
+    monkeypatch.setattr(Path, "write_bytes", failing(Path.write_bytes))
+    monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init(dataclasses.replace(CFG, init_seed=CFG.init_seed + 1)), ckpt)
+    assert len(writes) == 2
+    assert {path.name: path.read_bytes() for path in ckpt.iterdir()} == before
+    assert params_digest(load_checkpoint(ckpt)) == params_digest(init(CFG))
 
 
 def test_checkpoint_blob_is_flat_f32_in_path_order(tmp_path):
