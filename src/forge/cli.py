@@ -16,7 +16,7 @@ from pathlib import Path
 
 
 from . import refinery, sensitivity, synth, tinylm, trainer
-from .errors import ForgeError
+from .errors import ForgeError, MalformedLine
 from .records import ParallelRecord, read_records, write_records
 from .scorers import Scorer, open_scorer
 
@@ -146,11 +146,27 @@ def _sniff_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
     if not isinstance(obj, dict) or "prompt" in obj:
         return synth.read_samples(path, vocab_size)
     if "src" in obj:
-        records = list(read_records(_read_lines(str(path))))
-        return [synth.record_to_sample(r, vocab_size) for r in records]
+        return _record_samples(path, vocab_size)
     raise ForgeError(
         f"{path}: expected token samples or parallel records "
         "(instruction-text output is not trainable; refine with --emit records)")
+
+
+def _record_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
+    """The samples of a parallel-record file; a malformed record, or one
+    that record_to_sample rejects, is a ForgeError naming the file and
+    line."""
+    samples = []
+    for number, line in enumerate(_read_lines(str(path)), 1):
+        if not line.strip():
+            continue
+        try:
+            samples.append(synth.record_to_sample(next(read_records([line])), vocab_size))
+        except MalformedLine as e:
+            raise ForgeError(f"{path} line {number}: {e.reason}") from e
+        except ValueError as e:
+            raise ForgeError(f"{path} line {number}: {e}") from e
+    return samples
 
 
 def load_samples(path: str, vocab_size: int, split: str = "train") -> list[synth.Sample]:

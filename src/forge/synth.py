@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ForgeError
 from .records import ParallelRecord
-# greedy_decode stays importable from here for existing callers.
+# greedy_decode stays importable from here because the benchmark's tracer wraps it.
 from .tinylm import (  # noqa: F401
     Batch,
     ModelParams,
@@ -250,14 +250,21 @@ def sample_to_record(sample: Sample, spec: SynthLangSpec) -> ParallelRecord:
 
 
 def record_to_sample(record: ParallelRecord, vocab_size: int) -> Sample:
-    """Re-encode a (possibly refined) synthetic record for training."""
-    src = [parse_content_token(t) for t in record.src_line.split()]
-    tgt = [parse_content_token(t) for t in record.tgt_line.split()]
-    for t in src + tgt:
-        if t + RESERVED >= vocab_size:
-            raise ValueError(f"content token {t} outside vocab {vocab_size}")
-    prompt = (TASK_TRANSLATE, *(RESERVED + t for t in src), SEP)
-    return Sample(prompt=prompt, response=tuple(RESERVED + t for t in tgt))
+    """Re-encode a (possibly refined) synthetic record for training. Each
+    side must hold at least one content token, each inside the vocabulary;
+    anything else is a ValueError."""
+    sides = {}
+    for field in ("src_line", "tgt_line"):
+        tokens = [parse_content_token(t) for t in getattr(record, field).split()]
+        if not tokens:
+            raise ValueError(f"{field!r} has no tokens")
+        outside = [t for t in tokens if t + RESERVED >= vocab_size]
+        if outside:
+            raise ValueError(f"content token t{outside[0]} in {field!r} lies outside "
+                             f"the vocabulary [0, {vocab_size})")
+        sides[field] = tokens
+    prompt = (TASK_TRANSLATE, *(RESERVED + t for t in sides["src_line"]), SEP)
+    return Sample(prompt=prompt, response=tuple(RESERVED + t for t in sides["tgt_line"]))
 
 
 def write_samples(samples: Iterable[Sample], path: str | Path) -> None:

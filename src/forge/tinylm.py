@@ -7,16 +7,17 @@ gains, learned absolute positions, input/output embeddings tied.
 
 The block math is written once, in block_forward and block_backward;
 the training forward, the cache-free forward of evaluation and the
-key/value-cached decoder all run it. Backward computes a weight gradient
-only for a needed key (all by default), runs the gradient chain down to
-the lowest block with a needed key, and can start from the residual
-stream at a block boundary instead of the embeddings; a frozen block
-below every trained one then costs at most its forward pass. Default
-dtype is float32; pass float64 for high-precision gradient checks.
+greedy decoder all run it. Backward computes a weight gradient only for
+a needed key (all by default), runs the gradient chain down to the
+lowest block with a needed key, and can start from the residual stream
+at a block boundary instead of the embeddings; a frozen block below
+every trained one then costs at most its forward pass. Default dtype is
+float32; pass float64 for high-precision gradient checks.
 """
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -232,36 +233,26 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def embed(params: ModelParams, ids: np.ndarray, start: int = 0) -> np.ndarray:
+def embed(params: ModelParams, ids: np.ndarray) -> np.ndarray:
     """The residual stream [B,T,d] entering block 0 for token ids [B,T]
-    at positions start..start+T-1."""
-    pos = params[(None, "pos_emb")][start:start + ids.shape[1]]
+    at positions 0..T-1."""
+    pos = params[(None, "pos_emb")][:ids.shape[1]]
     return (params[(None, "tok_emb")][ids] + pos).astype(params.dtype)
 
 
-def block_forward(params: ModelParams, layer: int, x: np.ndarray, start: int = 0,
-                  kv: tuple[np.ndarray, np.ndarray] | None = None,
+def block_forward(params: ModelParams, layer: int, x: np.ndarray,
                   cache: dict | None = None) -> np.ndarray:
     """Block `layer` on the residual stream x [B,T,d] at positions
-    start..start+T-1; returns the stream after it.
-
-    Without kv the positions attend among themselves (start must be 0).
-    With kv, a pair of [B,H,S,dh] key and value arrays, their own K and V
-    are stored at start..start+T-1 and they attend to everything cached
-    up to them. A cache dict receives the activations block_backward
-    needs."""
+    0..T-1, each attending to itself and the positions before it; returns
+    the stream after it. A cache dict receives the activations
+    block_backward needs."""
     config = params.config
-    end = start + x.shape[1]
+    t = x.shape[1]
     normed1, xhat1, r1 = _rmsnorm(x, params[(layer, "attn_gain")])
     q = _split_heads(normed1 @ params[(layer, "W_Q")], config.n_heads)
     k = _split_heads(normed1 @ params[(layer, "W_K")], config.n_heads)
     v = _split_heads(normed1 @ params[(layer, "W_V")], config.n_heads)
-    if kv is not None:
-        keys, values = kv
-        keys[:, :, start:end] = k
-        values[:, :, start:end] = v
-        k, v = keys[:, :, :end], values[:, :, :end]
-    future = np.arange(end) > np.arange(start, end)[:, None]
+    future = np.arange(t) > np.arange(t)[:, None]
     scale = 1.0 / math.sqrt(config.head_dim)
     scores = np.where(future, -np.inf, (q @ k.transpose(0, 1, 3, 2)) * scale)
     probs = _softmax(scores)
@@ -448,57 +439,17 @@ def loss_and_backward(params: ModelParams, batch: Batch, loss_scale: float = 1.0
     return loss, {key: grads[key] for key in keys if key in need}
 
 
-def _extend(params: ModelParams, tokens: np.ndarray, start: int,
-            kv: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Run tokens [B,T] at positions start..start+T-1, attending to the
-    cached keys and values of the positions before them. Stores their own
-    K and V in the cache and returns the logits [B,V] of the last one."""
-    x = embed(params, tokens, start)
-    for layer in range(params.config.n_layers):
-        x = block_forward(params, layer, x, start, kv[layer])
-    normed_f, _, _ = _rmsnorm(x[:, -1], params[(None, "final_gain")])
-    return normed_f @ params[(None, "tok_emb")].T
-
-
-def decode_batch(params: ModelParams, prompts: np.ndarray, n_tokens: int) -> np.ndarray:
-    """Greedily extend each row of prompts [B,P] (all of one length) by
-    n_tokens; returns the new tokens [B,n_tokens].
-
-    The prompts run through the model once, filling a key/value cache,
-    then each step runs one position per layer against it. Positions are
-    absolute, so once prompt plus output passes max_seq_len every later
-    step re-runs the last max_seq_len tokens from position 0, the window
-    of a full re-forward per step. Logits differ from a full forward
-    only in rounding (other matrix shapes), so what is compared against
-    it is the tokens. This is greedy_decode's engine; synth.evaluate
-    needs no decoding, because its exact match is the argmax test on
-    the teacher-forced logits."""
-    config = params.config
-    prompts = np.asarray(prompts, dtype=np.int64)
-    b, p = prompts.shape
-    ids = np.empty((b, p + n_tokens), dtype=np.int64)
-    ids[:, :p] = prompts
-    if n_tokens == 0:
-        return ids[:, p:]
-    window = prompts[:, -config.max_seq_len:]
-    Batch(ids=window, mask=np.zeros(window.shape)).validate(config)
-    shape = (b, config.n_heads, min(window.shape[1] + n_tokens - 1, config.max_seq_len),
-             config.head_dim)
-    kv = [(np.empty(shape, dtype=params.dtype), np.empty(shape, dtype=params.dtype))
-          for _ in range(config.n_layers)]
-    ids[:, p] = np.argmax(_extend(params, window, 0, kv), axis=-1)
-    for t in range(p + 1, p + n_tokens):
-        if t <= config.max_seq_len:
-            last = _extend(params, ids[:, t - 1:t], t - 1, kv)
-        else:
-            last = _extend(params, ids[:, t - config.max_seq_len:t], 0, kv)
-        ids[:, t] = np.argmax(last, axis=-1)
-    return ids[:, p:]
-
-
 def greedy_decode(params: ModelParams, prompt_ids: list[int], n_tokens: int) -> list[int]:
-    """Greedily extend one prompt by n_tokens (decode_batch with B=1)."""
-    return decode_batch(params, np.array([prompt_ids], dtype=np.int64), n_tokens)[0].tolist()
+    """Greedily extend one prompt by n_tokens: each step runs one forward
+    over the last max_seq_len tokens and appends the argmax of its last
+    position. No command decodes; the benchmark checks this decoder."""
+    ids = list(prompt_ids)
+    for _ in range(n_tokens):
+        window = ids[-params.config.max_seq_len:]
+        batch = Batch(ids=np.array([window]), mask=np.zeros((1, len(window))))
+        logits, _ = forward(params, batch, keep=False)
+        ids.append(int(np.argmax(logits[0, -1])))
+    return ids[len(prompt_ids):]
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +459,9 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
     """Write params to out_dir as params.bin and manifest.json. Both are
     written under temporary names in out_dir, then renamed over the old
     files, params.bin first and the manifest last; a save that fails
-    before the renames leaves the previous checkpoint as it was."""
+    before the renames leaves the previous checkpoint as it was. The
+    manifest holds the sha256 of params.bin, so a save that fails between
+    the renames leaves a checkpoint that does not load."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -520,10 +473,12 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
                         "offset": offset, "length": len(data)})
         offset += len(data)
         blobs.append(data)
-    manifest = {"config": json.loads(params.config.to_json()), "tensors": entries}
+    blob = b"".join(blobs)
+    manifest = {"config": json.loads(params.config.to_json()), "tensors": entries,
+                "params_sha256": hashlib.sha256(blob).hexdigest()}
     staged = {name: out_dir / f"{name}.tmp" for name in ("params.bin", "manifest.json")}
     try:
-        staged["params.bin"].write_bytes(b"".join(blobs))
+        staged["params.bin"].write_bytes(blob)
         staged["manifest.json"].write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         for name, path in staged.items():
             os.replace(path, out_dir / name)
@@ -558,12 +513,17 @@ def _tensor_entry(entry, what: str) -> tuple[ParamKey, list[int], int, int]:
 
 
 def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
-    """Read a checkpoint. Every tensor entry of the manifest is checked:
-    its fields, its place in params.bin, its byte length against its
-    shape, and its key and shape against the model config; each tensor of
-    the config appears exactly once."""
+    """Read a checkpoint. params.bin must match the manifest's sha256
+    when it has one (manifests written before the hash have none). Every
+    tensor entry of the manifest is checked: its fields, its place in
+    params.bin, its byte length against its shape, and its key and shape
+    against the model config; each tensor of the config appears exactly
+    once."""
     path = Path(in_dir) / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ForgeError(f"{path}: not a JSON manifest ({e})") from e
     if not isinstance(manifest, dict):
         manifest = {}
     config = ModelConfig.from_dict(manifest.get("config"), f"{path} 'config'")
@@ -572,6 +532,10 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
         raise ForgeError(f"{path}: 'tensors' must be a list, not {table!r}")
     expected = {(layer, name): shape for layer, name, shape in param_paths(config)}
     blob = (path.parent / "params.bin").read_bytes()
+    if "params_sha256" in manifest and (
+            manifest["params_sha256"] != hashlib.sha256(blob).hexdigest()):
+        raise ForgeError(f"{path}: params.bin does not match the manifest's 'params_sha256'; "
+                         "the checkpoint was changed or its save was interrupted")
     tensors: dict[ParamKey, np.ndarray] = {}
     for i, entry in enumerate(table):
         key, shape, offset, length = _tensor_entry(entry, f"{path} tensor entry {i}")

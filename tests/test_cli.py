@@ -608,6 +608,18 @@ def test_checkpoint_tensor_table_must_be_a_list(tmp_path, capsys, tensors):
     assert "'tensors' must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze-gradients"])
+def test_checkpoint_manifest_that_is_not_json_is_a_domain_error(tmp_path, capsys, command):
+    ckpt = _checkpoint(tmp_path)
+    (ckpt / "manifest.json").write_text("{config: 1}", encoding="utf-8")
+    argv = [command, "--checkpoint", str(ckpt), "--data", "d"]
+    if command == "analyze-gradients":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt / "manifest.json") in err, err
+
+
 def _checkpoint(tmp_path):
     from forge import tinylm
     path = tmp_path / "ckpt"
@@ -633,6 +645,35 @@ def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line
     # train meets the bad line first, eval after a good line and a blank one
     good = json.dumps({"prompt": [2, 5, 1], "response": [6, 7]})
     data = tmp_path / "samples.jsonl"
+    first = command == "train"
+    lines = [line, good] if first else [good, "", line]
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {"train": ["train", "--mode", "fft", "--out", str(tmp_path / "run"),
+                      "--model-config", str(_write_model_config(tmp_path))],
+            "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path))]}[command]
+    assert main(argv + ["--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert f"{data} line {1 if first else 3}" in err, err
+
+
+def _record(src_line, tgt_line):
+    return json.dumps({"src": "qaa", "trg": "qab", "src_line": src_line, "tgt_line": tgt_line})
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("line", [
+    _record("t1 t2", ""),
+    _record(" ", "t1 t2"),
+    _record("t1 t60", "t1"),
+    _record("t1", "t2 hello"),
+    '{"src": "qaa", "trg": "qab", "src_line": "t1"}',
+    '{"src": "qaa", "trg": "qaa", "src_line": "t1", "tgt_line": "t2"}',
+])
+def test_bad_record_line_is_a_domain_error(tmp_path, capsys, command, line):
+    # the parallel-record twin of the token-sample test above
+    good = _record("t1 t2", "t3 t4")
+    data = tmp_path / "records.jsonl"
     first = command == "train"
     lines = [line, good] if first else [good, "", line]
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")

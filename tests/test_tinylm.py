@@ -1,22 +1,20 @@
 """Model tests: seeded init, forward contracts, the finite-difference
 gradient oracle, param-path enumeration, and the checkpoint codec."""
 import dataclasses
+import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from forge.errors import AllMasked
+from forge.errors import AllMasked, ForgeError
 from forge.tinylm import (
     Batch,
     GLOBAL_TENSORS,
     LAYER_TENSORS,
     ModelConfig,
     block_forward,
-    decode_batch,
     embed,
     forward,
     global_keys,
@@ -29,7 +27,7 @@ from forge.tinylm import (
     save_checkpoint,
 )
 
-from helpers import greedy_decode_reference, params_digest
+from helpers import params_digest
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=16, init_seed=7)
@@ -257,47 +255,19 @@ def test_needed_set_and_boundary_are_checked():
 
 
 def test_greedy_decode_deterministic():
+    """Repeatable, and past max_seq_len it sees only the last window: a
+    long decode extends a short one, and a prompt longer than the window
+    decodes like its last max_seq_len tokens."""
     params = init(CFG)
     out1 = greedy_decode(params, [1, 2, 3], 5)
     out2 = greedy_decode(params, [1, 2, 3], 5)
     assert out1 == out2 and len(out1) == 5
     assert all(0 <= t < CFG.vocab_size for t in out1)
-
-
-@st.composite
-def _decode_cases(draw):
-    """A small random model and a [B,P] prompt batch; prompts may be
-    longer than max_seq_len, and prompt plus output may pass it."""
-    n_heads = draw(st.integers(1, 2))
-    config = ModelConfig(n_layers=draw(st.integers(1, 2)),
-                         d_model=n_heads * draw(st.integers(1, 4)), n_heads=n_heads,
-                         d_ff=draw(st.integers(1, 12)), vocab_size=draw(st.integers(2, 16)),
-                         max_seq_len=draw(st.integers(1, 8)),
-                         init_seed=draw(st.integers(0, 2**16)))
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 11)))
-    prompts = draw(arrays(np.int64, shape, elements=st.integers(0, config.vocab_size - 1)))
-    return config, prompts, draw(st.integers(0, 12))
-
-
-_SMALL = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=8, vocab_size=12,
-                     max_seq_len=6, init_seed=4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(case=_decode_cases(), dtype=st.sampled_from([np.float32, np.float64]))
-@example(case=(_SMALL, np.array([[3, 1, 4]]), 0), dtype=np.float32)  # nothing to decode
-@example(case=(_SMALL, np.array([[3, 1, 4], [1, 5, 9]]), 1), dtype=np.float32)  # prompt pass only
-@example(case=(_SMALL, np.array([[3, 1], [4, 1], [5, 9]]), 9), dtype=np.float32)  # window slides
-@example(case=(_SMALL, np.arange(18).reshape(2, 9) % 12, 4), dtype=np.float64)  # prompt > window
-def test_decode_batch_matches_the_reference_decoder(case, dtype):
-    config, prompts, n_tokens = case
-    params = init(config, dtype)
-    out = decode_batch(params, prompts, n_tokens)
-    assert out.shape == (len(prompts), n_tokens)
-    for prompt, row in zip(prompts, out):
-        assert row.tolist() == greedy_decode_reference(params, prompt.tolist(), n_tokens)
-    if len(prompts) == 1:
-        assert greedy_decode(params, prompts[0].tolist(), n_tokens) == out[0].tolist()
+    assert greedy_decode(params, [1, 2, 3], 2 * CFG.max_seq_len)[:5] == out1
+    prompt = [t % CFG.vocab_size for t in range(CFG.max_seq_len + 5)]
+    assert (greedy_decode(params, prompt, 4)
+            == greedy_decode(params, prompt[-CFG.max_seq_len:], 4))
+    assert greedy_decode(params, [1, 2, 3], 0) == []
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -329,6 +299,39 @@ def test_a_failed_checkpoint_save_leaves_the_previous_checkpoint(tmp_path, monke
     assert len(writes) == 2
     assert {path.name: path.read_bytes() for path in ckpt.iterdir()} == before
     assert params_digest(load_checkpoint(ckpt)) == params_digest(init(CFG))
+
+
+def test_a_save_interrupted_between_its_renames_does_not_load(tmp_path, monkeypatch):
+    """The new params.bin beside the old manifest.json fails the
+    manifest's hash instead of loading as a mix."""
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(init(CFG), ckpt)
+    replaces = []
+    real_replace = os.replace
+
+    def second_replace_fails(src, dst):
+        replaces.append(dst)
+        if len(replaces) == 2:
+            raise OSError("interrupted")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_replace_fails)
+    with pytest.raises(OSError, match="interrupted"):
+        save_checkpoint(init(dataclasses.replace(CFG, init_seed=CFG.init_seed + 1)), ckpt)
+    monkeypatch.undo()
+    assert [Path(dst).name for dst in replaces] == ["params.bin", "manifest.json"]
+    with pytest.raises(ForgeError, match="params.bin does not match"):
+        load_checkpoint(ckpt)
+
+
+def test_a_manifest_without_a_hash_still_loads(tmp_path):
+    params = init(CFG)
+    save_checkpoint(params, tmp_path / "ckpt")
+    manifest_path = tmp_path / "ckpt" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["params_sha256"]
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    assert params_digest(load_checkpoint(tmp_path / "ckpt")) == params_digest(params)
 
 
 def test_checkpoint_blob_is_flat_f32_in_path_order(tmp_path):
