@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -278,7 +279,15 @@ def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
     print(text, end="")
 
 
+def _workers(args) -> int:
+    """The row process count of `sweep` and `compare`."""
+    if args.threads < 1:
+        raise ForgeError(f"--threads must be at least 1, not {args.threads}")
+    return 1 if args.deterministic else args.threads
+
+
 def cmd_sweep(args) -> int:
+    workers = _workers(args)
     params = _load_model(args)
     config = _train_config(args)
     samples = load_samples(args.data, params.config.vocab_size)
@@ -296,7 +305,6 @@ def cmd_sweep(args) -> int:
     if not eval_sets:
         raise ForgeError("sweep needs --eval-translation and/or --eval-general")
 
-    workers = 1 if args.deterministic else max(1, args.threads)
     rows = trainer.single_layer_sweep(params, batches, eval_sets, config,
                                       workers=workers)
     out = Path(args.out)
@@ -435,7 +443,17 @@ def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMo
     return plan
 
 
+def _compare_row(start: tinylm.ModelParams, train_samples: list[synth.Sample],
+                 eval_sets: dict[str, synth.EvalSet], mode: trainer.TrainMode,
+                 cfg: trainer.TrainConfig) -> dict:
+    batches = synth.make_batches(train_samples, cfg.batch_size)
+    result = trainer.run(start, batches, mode, cfg)
+    return _eval_cells({name: synth.evaluate(result.params, es)
+                        for name, es in eval_sets.items()})
+
+
 def cmd_compare(args) -> int:
+    workers = _workers(args)
     spec = _load_json(args.spec)
     _check_keys(spec, SPEC_KEYS, SPEC_REQUIRED + (() if args.out else ("out_dir",)), "spec")
     if not isinstance(spec["rows"], list) or not isinstance(spec["eval_sets"], dict):
@@ -478,15 +496,13 @@ def cmd_compare(args) -> int:
 
     train_samples = load_samples(spec["train_data"], model_config.vocab_size)
 
+    cells = trainer.run_rows(
+        ((repr(row["label"]), functools.partial(_compare_row, start, train_samples,
+                                                eval_sets, mode, cfg))
+         for row, mode, cfg in plan), workers)
     table = []
-    for row, mode, cfg in plan:
-        try:
-            batches = synth.make_batches(train_samples, cfg.batch_size)
-            result = trainer.run(start, batches, mode, cfg)
-        except ForgeError as e:
-            raise ForgeError(f"row {row['label']!r}: {e}") from e
-        entry = {"label": row["label"], "mode": row["mode"], **_eval_cells(
-            {name: synth.evaluate(result.params, es) for name, es in eval_sets.items()})}
+    for (row, _, _), row_cells in zip(plan, cells):
+        entry = {"label": row["label"], "mode": row["mode"], **row_cells}
         if "general" in eval_sets:
             entry["delta_general_ce"] = entry["general_ce"] - start_evals["general"].mean_ce
         table.append(entry)
@@ -519,7 +535,7 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=default(None),
                         help="global random seed")
     common.add_argument("--threads", type=int, default=default(1),
-                        help="worker cap for parallel sections")
+                        help="processes for the rows of sweep and compare")
     common.add_argument("--deterministic", action="store_true", default=default(False),
                         help="force sequential execution everywhere")
     return common

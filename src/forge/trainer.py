@@ -10,14 +10,18 @@ dataset.
 """
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NonFiniteInput, OverlappingStages
+from .errors import ForgeError, IndexOutOfRange, NonFiniteInput, OverlappingStages
 from .synth import EvalResult, EvalSet, evaluate
 from .tinylm import (
     Batch,
@@ -266,10 +270,101 @@ def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
     return result
 
 
+def _row_child(job: Callable, writer) -> None:
+    """The body of a row's worker process: send the row's result, or its
+    error as a string, since not every ForgeError can be pickled."""
+    try:
+        message = ("ok", job())
+    except ForgeError as e:
+        message = ("forge", str(e))
+    except Exception:
+        message = ("crash", traceback.format_exc())
+    writer.send(message)
+    writer.close()
+
+
+def _collect(running: dict, results: dict) -> None:
+    """Wait until at least one running row ends, and store its result.
+    A row that failed, or whose process ended without a result, raises
+    an error naming the row."""
+    for reader in wait(list(running)):
+        index, label, process = running.pop(reader)
+        try:
+            message = reader.recv()
+        except EOFError:
+            message = None
+        finally:
+            reader.close()
+            process.join()
+        if message is None:
+            raise ForgeError(f"row {label}: its worker process ended without a result "
+                             f"(exit code {process.exitcode})")
+        if message[0] == "forge":
+            raise ForgeError(f"row {label}: {message[1]}")
+        if message[0] == "crash":
+            raise RuntimeError(f"row {label} failed in its worker process:\n{message[1]}")
+        results[index] = message[1]
+
+
+def run_rows(jobs: Iterable[tuple[object, Callable]], workers: int = 1) -> list:
+    """Run each (label, job) of `jobs` and return the jobs' results in
+    order. The jobs are taken from the iterable one at a time, so it can
+    compute a job's inputs just before the job starts.
+
+    With one worker every job runs in this process. With more, each job
+    runs in a child forked from this process once the job is taken, so
+    it reads the caller's arrays copy-on-write, and it sends back only
+    its (picklable) result; at most `workers` children are alive at
+    once. The caller runs no other Python thread meanwhile, which fork
+    needs. A ForgeError from a job is raised again as a ForgeError that
+    names the row, however the job ran; after any error every other
+    child is stopped and reaped."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+    if workers == 1:
+        results = []
+        for label, job in jobs:
+            try:
+                results.append(job())
+            except ForgeError as e:
+                raise ForgeError(f"row {label}: {e}") from e
+        return results
+    context = multiprocessing.get_context("fork")
+    results: dict[int, object] = {}
+    running: dict = {}
+    try:
+        for index, (label, job) in enumerate(jobs):
+            while len(running) == workers:
+                _collect(running, results)
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_row_child, args=(job, writer), daemon=True)
+            process.start()
+            writer.close()
+            running[reader] = (index, label, process)
+            # start() dropped the Process's reference to the job; drop this
+            # one too, so the job's inputs live on only in the child
+            del job
+        while running:
+            _collect(running, results)
+    finally:
+        for reader, (_, _, process) in running.items():
+            process.kill()
+            process.join()
+            reader.close()
+    return [results[index] for index in range(len(results))]
+
+
 @dataclass
 class SweepRow:
     layer: int
     results: dict[str, EvalResult]
+
+
+def _sweep_row(start_params: ModelParams, batches: list[Batch],
+               eval_sets: dict[str, EvalSet], config: TrainConfig, layer: int,
+               xs: list[np.ndarray]) -> SweepRow:
+    res = run(start_params, batches, TrainMode.single_layer(layer), config, boundary=(layer, xs))
+    return SweepRow(layer, {name: evaluate(res.params, es) for name, es in eval_sets.items()})
 
 
 def single_layer_sweep(start_params: ModelParams, batches: list[Batch],
@@ -277,36 +372,26 @@ def single_layer_sweep(start_params: ModelParams, batches: list[Batch],
                        workers: int = 1) -> list[SweepRow]:
     """Train each layer independently from the same start checkpoint and
     evaluate on the held-out sets. Rows come back ordered by layer and
-    are independent of execution order.
+    are independent of execution order; with `workers` > 1 they run in
+    up to that many forked processes (run_rows).
 
     Row l leaves the blocks below l at their start values, so the
     residual stream entering block l (the row's boundary) is the same in
-    every row, and the row's forward passes start there. Rows are handed
-    to the workers in layer order, one at a time, and between rows the
-    boundary moves up one block under the start parameters; at most
-    workers + 1 boundaries are alive at once."""
+    every row, and the row's forward passes start there. Rows start in
+    layer order, and between rows the boundary moves up one block under
+    the start parameters, while the rows already started train. This
+    process holds at most two boundaries; a row's process inherits its
+    own copy-on-write."""
     model = start_params.config
     for batch in batches:
         batch.validate(model)
 
-    def one(layer: int, holder: list) -> SweepRow:
-        # the row takes the only reference to its boundary, so the
-        # boundary is freed when the row ends, not when the pool's work
-        # item is dropped
-        res = run(start_params, batches, TrainMode.single_layer(layer), config,
-                  boundary=(layer, holder.pop()))
-        evals = {name: evaluate(res.params, es) for name, es in eval_sets.items()}
-        return SweepRow(layer=layer, results=evals)
-
-    workers = max(workers, 1)
-    xs = [embed(start_params, batch.ids) for batch in batches]
-    futures = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    def rows():
+        xs = [embed(start_params, batch.ids) for batch in batches]
         for layer in range(model.n_layers):
-            running = [f for f in futures if not f.done()]
-            if len(running) == workers:
-                wait(running, return_when=FIRST_COMPLETED)
-            futures.append(pool.submit(one, layer, [xs]))
+            yield layer, functools.partial(_sweep_row, start_params, batches, eval_sets,
+                                           config, layer, xs)
             if layer + 1 < model.n_layers:
                 xs = [block_forward(start_params, layer, x) for x in xs]
-        return [f.result() for f in futures]
+
+    return run_rows(rows(), workers)

@@ -6,7 +6,9 @@ of the code paths they check.
 """
 from __future__ import annotations
 
+import os
 import unicodedata
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -128,3 +130,22 @@ def params_digest(params) -> dict:
 
     return {key: hashlib.sha256(params.tensor_bytes(key)).hexdigest()
             for key in params.keys()}
+
+
+def child_pids() -> set[int]:
+    """The ids of this process's children, exited but unreaped ones
+    included, read from /proc."""
+    me = os.getpid()
+    pids = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # the process ended meanwhile
+            continue
+        # the command name before ")" may hold spaces; the parent id is
+        # the second field after it
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.add(int(entry))
+    return pids

@@ -1,14 +1,18 @@
 """CLI tests: exit codes, wiring, reproducibility of primary outputs,
 and the make-synth -> refine -> train -> eval smoke chain."""
 import json
+import os
 import re
 import shlex
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from forge.cli import build_parser, main
+from helpers import child_pids
 
 MODEL_CONFIG = {
     "n_layers": 4, "d_model": 32, "n_heads": 4, "d_ff": 64,
@@ -260,6 +264,103 @@ def test_compare_table(tmp_path):
     csv_lines = (tmp_path / "cmp" / "compare.csv").read_text().splitlines()
     assert len(csv_lines) == 4
     assert csv_lines[0].startswith("label,mode,")
+
+
+def test_compare_outputs_do_not_depend_on_the_thread_count(tmp_path, capsys):
+    synth_dir, general_dir = tmp_path / "synth", tmp_path / "general"
+    assert main(["make-synth", "--task", "translation", "--n", "60", "--seed", "6",
+                 "--out", str(synth_dir)]) == 0
+    assert main(["make-synth", "--task", "general", "--n", "60", "--seed", "7",
+                 "--out", str(general_dir)]) == 0
+    train = {"lr_max": 1e-3, "lr_min": 1e-4, "epochs": 1, "batch_size": 16}
+    spec = {"model_config": str(_write_model_config(tmp_path)), "train_data": str(synth_dir),
+            "eval_sets": {"translation": str(synth_dir), "general": str(general_dir)},
+            "rows": [{"label": "fft", "mode": "fft", "train": train},
+                     {"label": "two", "mode": "two-stage", "k": 1, "m": 1, "train": train},
+                     {"label": "one", "mode": "single-stage", "k": 2, "m": 0},
+                     {"label": "top", "mode": "single-layer", "layer": 3, "train": train}],
+            "seed": 3}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"cmp{threads}"
+        assert main(["compare", "--spec", str(spec_path), "--out", str(out),
+                     "--threads", threads]) == 0
+        outputs.append([capsys.readouterr().out] + [
+            (out / name).read_bytes() for name in ("compare.csv", "compare.json")])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 1 + 1 + len(spec["rows"])
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_row_thread_count_must_be_positive(tmp_path, capsys, monkeypatch, command, threads):
+    _no_training(monkeypatch)
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"})
+    argv = {"sweep": ["sweep", "--data", str(tmp_path / "synth"),
+                      "--model-config", str(tmp_path / "model.json"),
+                      "--eval-translation", str(tmp_path / "synth")],
+            "compare": ["compare", "--spec", str(spec_path)]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--threads must be at least 1, not {threads}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _compare_with_a_failing_row(tmp_path, monkeypatch, threads, fail):
+    """Run `forge compare` with row 'one' calling `fail` in place of
+    training; row 'fft', when it runs in a worker process, waits a
+    minute first, so a failure must stop it, not wait for it."""
+    from forge import trainer
+    test_process = os.getpid()
+    real_run = trainer.run
+
+    def patched(start, batches, mode, config, boundary=None):
+        if mode.kind == "single-layer":
+            fail()
+        if mode.kind == "fft" and os.getpid() != test_process:
+            time.sleep(60)
+        return real_run(start, batches, mode, config, boundary)
+    monkeypatch.setattr(trainer, "run", patched)
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"})
+    before = child_pids()
+    t0 = time.monotonic()
+    try:
+        return main(["compare", "--spec", str(spec_path), "--threads", threads])
+    finally:
+        assert time.monotonic() - t0 < 30
+        assert child_pids() == before
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_row_forge_error_exits_1_naming_the_row(tmp_path, capsys, monkeypatch, threads):
+    from forge.errors import NonFiniteInput
+
+    def fail():
+        raise NonFiniteInput("non-finite loss in the test")
+    assert _compare_with_a_failing_row(tmp_path, monkeypatch, threads, fail) == 1
+    assert capsys.readouterr().err == "error: row 'one': non-finite loss in the test\n"
+
+
+def test_compare_row_whose_process_dies_exits_1_naming_the_row(tmp_path, capsys, monkeypatch):
+    test_process = os.getpid()
+
+    def die():
+        if os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+    assert _compare_with_a_failing_row(tmp_path, monkeypatch, "2", die) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 'one': its worker process ended without a result"), err
+
+
+def test_compare_row_crash_carries_the_worker_traceback(tmp_path, monkeypatch):
+    def crash():
+        raise KeyError("lost key")
+    with pytest.raises(RuntimeError, match="row 'one' failed in its worker process") as caught:
+        _compare_with_a_failing_row(tmp_path, monkeypatch, "2", crash)
+    assert "Traceback" in str(caught.value) and "KeyError: 'lost key'" in str(caught.value)
 
 
 def test_compare_duplicate_labels_rejected(tmp_path, capsys):

@@ -1,15 +1,17 @@
 """Trainer tests: layer selection, the warmup+cosine schedule, masked
 AdamW, freezing soundness, stage isolation, and the sweep."""
 import math
-import sys
+import os
+import signal
 import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
 
 from forge import trainer
-from forge.errors import IndexOutOfRange, NonFiniteInput, OverlappingStages
+from forge.errors import ForgeError, IndexOutOfRange, NonFiniteInput, OverlappingStages
 from forge.synth import (
     SynthLangSpec,
     evaluate,
@@ -30,7 +32,7 @@ from forge.trainer import (
     stage_plan,
 )
 
-from helpers import params_digest
+from helpers import child_pids, params_digest
 
 CFG = ModelConfig(n_layers=4, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=24, init_seed=3)
@@ -362,18 +364,16 @@ def _sweep_config():
     return TrainConfig(lr_max=1e-3, lr_min=1e-4, epochs=1, batch_size=8, grad_accum=2, seed=7)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("workers", [1, 3, 8])
 def test_sweep_rows_equal_run_plus_evaluate(sweep_inputs, workers):
     """Each row, which trains from a shared boundary, equals a plain
-    run of its layer followed by evaluate."""
+    run of its layer followed by evaluate, with more row processes than
+    CPUs and with more workers than rows."""
     batches, eval_sets = sweep_inputs
     params = init(CFG)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # rows share their boundaries: switch threads often
-    try:
-        rows = single_layer_sweep(params, batches, eval_sets, _sweep_config(), workers=workers)
-    finally:
-        sys.setswitchinterval(interval)
+    before = child_pids()
+    rows = single_layer_sweep(params, batches, eval_sets, _sweep_config(), workers=workers)
+    assert child_pids() == before
     assert [row.layer for row in rows] == list(range(CFG.n_layers))
     for row in rows:
         result = run(params, batches, TrainMode.single_layer(row.layer), _sweep_config())
@@ -404,6 +404,67 @@ def test_sweep_keeps_at_most_workers_plus_one_boundaries(sweep_inputs, monkeypat
     monkeypatch.setattr(trainer, "block_forward", counted(trainer.block_forward))
     single_layer_sweep(init(CFG), batches, eval_sets, _sweep_config(), workers=workers)
     assert 0 < peak[0] <= (workers + 1) * len(batches)
+
+
+def _failing_row(monkeypatch, layer, fail):
+    """Make row `layer` of a sweep call `fail` in place of training, and
+    row 0, when it runs in a worker process, wait a minute first: a
+    failure must stop it, not wait for it."""
+    test_process = os.getpid()
+    real_run = trainer.run
+
+    def patched(start, batches, mode, config, boundary=None):
+        if mode.layer == layer:
+            fail()
+        if mode.layer == 0 and os.getpid() != test_process:
+            time.sleep(60)
+        return real_run(start, batches, mode, config, boundary)
+    monkeypatch.setattr(trainer, "run", patched)
+
+
+def _sweep_error(sweep_inputs, workers, expected):
+    batches, eval_sets = sweep_inputs
+    before = child_pids()
+    t0 = time.monotonic()
+    with pytest.raises(expected) as caught:
+        single_layer_sweep(init(CFG), batches, eval_sets, _sweep_config(), workers=workers)
+    assert time.monotonic() - t0 < 30
+    assert child_pids() == before
+    return str(caught.value)
+
+
+def test_sweep_row_forge_error_names_the_row_however_rows_run(sweep_inputs, monkeypatch):
+    def fail():
+        raise NonFiniteInput("non-finite loss in the test")
+    _failing_row(monkeypatch, 2, fail)
+    messages = [_sweep_error(sweep_inputs, workers, ForgeError) for workers in (1, 2)]
+    assert messages == ["row 2: non-finite loss in the test"] * 2
+
+
+def test_sweep_row_whose_process_dies_is_an_error_naming_the_row(sweep_inputs, monkeypatch):
+    test_process = os.getpid()
+
+    def die():
+        if os.getpid() != test_process:
+            os.kill(os.getpid(), signal.SIGKILL)
+    _failing_row(monkeypatch, 1, die)
+    message = _sweep_error(sweep_inputs, 2, ForgeError)
+    assert message.startswith("row 1: its worker process ended without a result"), message
+    assert str(-signal.SIGKILL) in message
+
+
+def test_sweep_row_crash_carries_the_worker_traceback(sweep_inputs, monkeypatch):
+    def crash():
+        raise KeyError("lost key")
+    _failing_row(monkeypatch, 1, crash)
+    message = _sweep_error(sweep_inputs, 2, RuntimeError)
+    assert message.startswith("row 1 failed in its worker process"), message
+    assert "Traceback" in message and "KeyError: 'lost key'" in message
+
+
+def test_run_rows_takes_at_least_one_worker():
+    with pytest.raises(ValueError, match="at least 1"):
+        trainer.run_rows([], workers=0)
 
 
 def test_run_rejects_a_boundary_below_a_trained_layer(sweep_inputs):
