@@ -497,9 +497,8 @@ def cmd_compare(args) -> int:
     train_samples = load_samples(spec["train_data"], model_config.vocab_size)
 
     cells = trainer.run_rows(
-        ((repr(row["label"]), functools.partial(_compare_row, start, train_samples,
-                                                eval_sets, mode, cfg))
-         for row, mode, cfg in plan), workers)
+        functools.partial(_compare_row, start, train_samples, eval_sets),
+        ((repr(row["label"]), (mode, cfg)) for row, mode, cfg in plan), workers)
     table = []
     for (row, _, _), row_cells in zip(plan, cells):
         entry = {"label": row["label"], "mode": row["mode"], **row_cells}

@@ -35,7 +35,9 @@ def is_lang_code(code: Any) -> bool:
     return (
         isinstance(code, str)
         and 2 <= len(code) <= 3
-        and all("a" <= c <= "z" for c in code)
+        and code.isascii()
+        and code.isalpha()
+        and code.islower()
     )
 
 

@@ -106,9 +106,9 @@ def quality_request(req_id: int, src: str, trg: str, src_line: str, tgt_line: st
 def _response_from_object(obj) -> ScoreResponse:
     """The checks every transport applies to one decoded response; raises
     ValueError with the reason."""
-    if not isinstance(obj, dict) or "id" not in obj or not isinstance(obj["id"], int):
+    rid = obj.get("id") if isinstance(obj, dict) else None
+    if isinstance(rid, bool) or not isinstance(rid, int):
         raise ValueError("missing integer id")
-    rid = obj["id"]
     if "loss" in obj:
         loss = obj["loss"]
         # the bound also rejects NaN, and an integer too large for a float

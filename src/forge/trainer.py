@@ -10,6 +10,7 @@ dataset.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -270,87 +271,128 @@ def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
     return result
 
 
-def _row_child(job: Callable, writer) -> None:
-    """The body of a row's worker process: send the row's result, or its
-    error as a string, since not every ForgeError can be pickled."""
-    try:
-        message = ("ok", job())
-    except ForgeError as e:
-        message = ("forge", str(e))
-    except Exception:
-        message = ("crash", traceback.format_exc())
-    writer.send(message)
-    writer.close()
-
-
-def _collect(running: dict, results: dict) -> None:
-    """Wait until at least one running row ends, and store its result.
-    A row that failed, or whose process ended without a result, raises
-    an error naming the row."""
-    for reader in wait(list(running)):
-        index, label, process = running.pop(reader)
+def _worker(work: Callable, conn, parent_ends: list) -> None:
+    """The body of a row worker process: run `work` on each args tuple
+    received until a None arrives, and send back each row's result, or
+    its error as a string, since not every ForgeError can be pickled.
+    It first closes its copies of the parent's pipe ends, so that it
+    sees EOF, and exits, if the parent dies."""
+    for end in parent_ends:
+        end.close()
+    while True:
         try:
-            message = reader.recv()
-        except EOFError:
-            message = None
-        finally:
-            reader.close()
-            process.join()
-        if message is None:
-            raise ForgeError(f"row {label}: its worker process ended without a result "
-                             f"(exit code {process.exitcode})")
+            args = conn.recv()
+        except (EOFError, OSError):  # the parent is gone
+            return
+        if args is None:
+            return
+        try:
+            message = ("ok", work(*args))
+        except ForgeError as e:
+            message = ("forge", str(e))
+        except Exception:
+            message = ("crash", traceback.format_exc())
+        # drop the row's inputs before it waits for the next ones
+        del args
+        conn.send(message)
+
+
+def _start_worker(context, work: Callable, pool: dict):
+    """Fork a worker that runs `work`, add it to `pool` and return its
+    pipe end."""
+    conn, child_end = context.Pipe()
+    process = context.Process(target=_worker, args=(work, child_end, [conn, *pool]),
+                              daemon=True)
+    process.start()
+    child_end.close()
+    pool[conn] = process
+    return conn
+
+
+def _lost(label, process) -> ForgeError:
+    process.join()
+    return ForgeError(f"row {label}: its worker process ended without a result "
+                      f"(exit code {process.exitcode})")
+
+
+def _collect(pool: dict, busy: dict, results: dict) -> list:
+    """Wait until at least one busy worker answers, store its row's
+    result, and return the pipe ends of the workers that became idle.
+    A row that failed, or whose worker ended without a result, raises an
+    error naming the row."""
+    idle = []
+    for conn in wait(list(busy)):
+        index, label = busy.pop(conn)
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            raise _lost(label, pool[conn]) from None
         if message[0] == "forge":
             raise ForgeError(f"row {label}: {message[1]}")
         if message[0] == "crash":
             raise RuntimeError(f"row {label} failed in its worker process:\n{message[1]}")
         results[index] = message[1]
+        idle.append(conn)
+    return idle
 
 
-def run_rows(jobs: Iterable[tuple[object, Callable]], workers: int = 1) -> list:
-    """Run each (label, job) of `jobs` and return the jobs' results in
-    order. The jobs are taken from the iterable one at a time, so it can
-    compute a job's inputs just before the job starts.
+def run_rows(work: Callable, jobs: Iterable[tuple[object, tuple]], workers: int = 1) -> list:
+    """Run `work(*args)` for each (label, args) of `jobs` and return the
+    results in order. The jobs are taken from the iterable one at a
+    time, so it can compute a job's inputs just before the job starts.
 
-    With one worker every job runs in this process. With more, each job
-    runs in a child forked from this process once the job is taken, so
-    it reads the caller's arrays copy-on-write, and it sends back only
-    its (picklable) result; at most `workers` children are alive at
-    once. The caller runs no other Python thread meanwhile, which fork
-    needs. A ForgeError from a job is raised again as a ForgeError that
-    names the row, however the job ran; after any error every other
-    child is stopped and reaped."""
+    With one worker every job runs in this process. With more, up to
+    `workers` worker processes are forked, one the first time a job finds
+    no idle worker, and each runs job after job until the jobs run out.
+    A worker inherits `work` and what it refers to copy-on-write; only a
+    job's args are pickled to it, and only its result comes back. The
+    caller runs no other Python thread meanwhile, which fork needs. A
+    ForgeError from a job is raised again as a ForgeError that names the
+    row, however the job ran, as is a worker's death; after any error
+    every worker is killed and reaped."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     if workers == 1:
         results = []
-        for label, job in jobs:
+        for label, args in jobs:
             try:
-                results.append(job())
+                results.append(work(*args))
             except ForgeError as e:
                 raise ForgeError(f"row {label}: {e}") from e
         return results
     context = multiprocessing.get_context("fork")
     results: dict[int, object] = {}
-    running: dict = {}
+    pool: dict = {}  # a worker's pipe end -> its process
+    busy: dict = {}  # a busy worker's pipe end -> (index, label) of its row
+    idle: list = []
     try:
-        for index, (label, job) in enumerate(jobs):
-            while len(running) == workers:
-                _collect(running, results)
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=_row_child, args=(job, writer), daemon=True)
-            process.start()
-            writer.close()
-            running[reader] = (index, label, process)
-            # start() dropped the Process's reference to the job; drop this
-            # one too, so the job's inputs live on only in the child
-            del job
-        while running:
-            _collect(running, results)
-    finally:
-        for reader, (_, _, process) in running.items():
+        for index, (label, args) in enumerate(jobs):
+            if not idle and len(pool) < workers:
+                idle.append(_start_worker(context, work, pool))
+            while not idle:
+                idle += _collect(pool, busy, results)
+            conn = idle.pop()
+            try:
+                conn.send(args)
+            except OSError:  # the worker died while idle
+                raise _lost(label, pool[conn]) from None
+            busy[conn] = (index, label)
+            # drop this reference before the iterable computes the next
+            # job, so that the job's inputs can be freed here
+            del args
+        while busy:
+            _collect(pool, busy, results)
+        for conn in pool:
+            with contextlib.suppress(OSError):  # it died idle, and lost no row
+                conn.send(None)
+    except BaseException:
+        for process in pool.values():
             process.kill()
+        raise
+    finally:
+        for conn, process in pool.items():
             process.join()
-            reader.close()
+            conn.close()
     return [results[index] for index in range(len(results))]
 
 
@@ -373,15 +415,16 @@ def single_layer_sweep(start_params: ModelParams, batches: list[Batch],
     """Train each layer independently from the same start checkpoint and
     evaluate on the held-out sets. Rows come back ordered by layer and
     are independent of execution order; with `workers` > 1 they run in
-    up to that many forked processes (run_rows).
+    up to that many worker processes, forked once and reused for later
+    rows (run_rows).
 
     Row l leaves the blocks below l at their start values, so the
     residual stream entering block l (the row's boundary) is the same in
     every row, and the row's forward passes start there. Rows start in
     layer order, and between rows the boundary moves up one block under
     the start parameters, while the rows already started train. This
-    process holds at most two boundaries; a row's process inherits its
-    own copy-on-write."""
+    process holds at most two boundaries; each row's boundary is pickled
+    to the worker that runs it."""
     model = start_params.config
     for batch in batches:
         batch.validate(model)
@@ -389,9 +432,9 @@ def single_layer_sweep(start_params: ModelParams, batches: list[Batch],
     def rows():
         xs = [embed(start_params, batch.ids) for batch in batches]
         for layer in range(model.n_layers):
-            yield layer, functools.partial(_sweep_row, start_params, batches, eval_sets,
-                                           config, layer, xs)
+            yield layer, (layer, xs)
             if layer + 1 < model.n_layers:
                 xs = [block_forward(start_params, layer, x) for x in xs]
 
-    return run_rows(rows(), workers)
+    work = functools.partial(_sweep_row, start_params, batches, eval_sets, config)
+    return run_rows(work, rows(), workers)

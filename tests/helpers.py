@@ -49,6 +49,11 @@ def simhash64_reference(tokens: Sequence[str]) -> int:
     return sig
 
 
+def is_lang_code_reference(code) -> bool:
+    """The character-by-character form of `records.is_lang_code`."""
+    return isinstance(code, str) and 2 <= len(code) <= 3 and all("a" <= c <= "z" for c in code)
+
+
 def clean_text_reference(text: str) -> str:
     """Per-character cleaning: NFC, drop C0 (except tab and newline), DEL,
     C1, U+FFFD and lone surrogates, collapse whitespace, trim."""

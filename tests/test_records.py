@@ -16,6 +16,7 @@ from forge.records import (
     tokenize,
     write_records,
 )
+from helpers import is_lang_code_reference
 
 
 def test_read_basic_line():
@@ -121,6 +122,15 @@ def test_is_lang_code():
     assert is_lang_code("en") and is_lang_code("swh")
     for bad in ("", "e", "ENG", "e1", "abcd", 42, None):
         assert not is_lang_code(bad)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(alphabet=st.one_of(st.sampled_from("azAZeén1_ ǆǅǄßİ\u0131\u212a"), st.characters()),
+            max_size=4),
+    st.binary(max_size=4), st.integers(), st.none(), st.lists(st.just("a"), max_size=3)))
+def test_is_lang_code_matches_the_reference(code):
+    assert is_lang_code(code) == is_lang_code_reference(code)
 
 
 def test_tokenization_mode_table():

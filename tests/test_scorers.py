@@ -25,6 +25,7 @@ from forge.scorers import (
     ScoreResponse,
     SidecarScorer,
     SubprocessScorer,
+    _parse_wire_line,
     langid_request,
     quality_request,
     response_to_sidecar_line,
@@ -440,6 +441,14 @@ def test_subprocess_applies_the_same_checks(tmp_path, response):
     with SubprocessScorer(_script(tmp_path, body)) as scorer:
         with pytest.raises(ProtocolViolation):
             scorer.score([langid_request(0, "x")])
+
+
+@pytest.mark.parametrize("line", [b'{"id": true, "lang": "en", "prob": 0.9}',
+                                  b'{"id": false, "loss": 1.5}'])
+def test_boolean_response_id_rejected(line):
+    """JSON true and false are not the ids 1 and 0."""
+    with pytest.raises(ProtocolViolation, match="missing integer id"):
+        _parse_wire_line(line, {0, 1})
 
 
 def test_sidecar_equivalent_to_subprocess(tmp_path):

@@ -464,7 +464,41 @@ def test_sweep_row_crash_carries_the_worker_traceback(sweep_inputs, monkeypatch)
 
 def test_run_rows_takes_at_least_one_worker():
     with pytest.raises(ValueError, match="at least 1"):
-        trainer.run_rows([], workers=0)
+        trainer.run_rows(len, [], workers=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_rows_reuses_its_workers(workers):
+    before = child_pids()
+    pids = trainer.run_rows(os.getpid, ((i, ()) for i in range(8)), workers)
+    assert child_pids() == before
+    if workers == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert len(set(pids)) <= workers and os.getpid() not in pids
+
+
+def test_run_rows_worker_that_died_while_idle_is_an_error_naming_a_row():
+    """The jobs kill both workers once they have answered their rows, so
+    the next job is sent to a dead worker."""
+    before = child_pids()
+
+    def jobs():
+        yield 0, ()
+        yield 1, ()
+        time.sleep(0.5)
+        for pid in child_pids() - before:
+            os.kill(pid, signal.SIGKILL)
+            # wait for its death, but leave the reaping to run_rows
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        yield 2, ()
+        yield 3, ()
+    t0 = time.monotonic()
+    with pytest.raises(ForgeError, match=r"^row \d: its worker process ended without a result "
+                                         rf"\(exit code {-signal.SIGKILL}\)$"):
+        trainer.run_rows(os.getpid, jobs(), workers=2)
+    assert time.monotonic() - t0 < 30
+    assert child_pids() == before
 
 
 def test_run_rejects_a_boundary_below_a_trained_layer(sweep_inputs):
