@@ -17,22 +17,23 @@ from pathlib import Path
 
 
 from . import refinery, sensitivity, synth, tinylm, trainer
-from .errors import ForgeError, MalformedLine
-from .records import ParallelRecord, read_records, write_records
+from .errors import ForgeError
+from .records import NOT_UTF8, ParallelRecord, read_lines, read_records, write_records
 from .scorers import Scorer, open_scorer
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.readlines()
-
-
 def _load_records(path: str) -> list[ParallelRecord]:
-    return list(read_records(_read_lines(path)))
+    try:
+        return list(read_records(read_lines(path)))
+    except ForgeError as e:
+        raise ForgeError(f"{path}: {e}") from e
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ForgeError(f"{path}: not a JSON file ({e})") from e
 
 
 def _global_defaults(args) -> dict:
@@ -63,16 +64,19 @@ def cmd_refine(args) -> int:
 
     templates = refinery.DEFAULT_TEMPLATES
     if args.templates:
-        lines = [l.rstrip("\n") for l in _read_lines(args.templates)]
-        templates = tuple(l for l in lines if l)
+        lines = read_lines(args.templates)
+        if NOT_UTF8 in lines:
+            raise ForgeError(f"{args.templates} line {lines.index(NOT_UTF8) + 1}: "
+                             "not UTF-8")
+        templates = tuple(l.rstrip("\n") for l in lines if l.rstrip("\n"))
 
+    dev_records = _load_records(args.dev_set) if args.dev_set else None
     langid_scorer = _open_optional_scorer(args.langid_scorer)
     quality_scorer = _open_optional_scorer(args.quality_scorer)
     dev_scorer = _open_optional_scorer(args.dev_scorer)
-    dev_records = _load_records(args.dev_set) if args.dev_set else None
     try:
         result = refinery.run_pipeline(
-            _read_lines(args.input), config,
+            read_lines(args.input), config,
             langid_scorer=langid_scorer,
             quality_scorer=quality_scorer,
             dev_records=dev_records,
@@ -131,52 +135,21 @@ def cmd_make_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # data loading shared by train / sweep / eval / analyze
 
-def _sniff_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
-    with open(path, "r", encoding="utf-8") as f:
-        first = ""
-        for line in f:
-            if line.strip():
-                first = line
-                break
-    if not first:
-        return []
-    try:
-        obj = json.loads(first)
-    except json.JSONDecodeError:
-        obj = None  # read_samples names the line
-    if not isinstance(obj, dict) or "prompt" in obj:
-        return synth.read_samples(path, vocab_size)
-    if "src" in obj:
-        return _record_samples(path, vocab_size)
-    raise ForgeError(
-        f"{path}: expected token samples or parallel records "
-        "(instruction-text output is not trainable; refine with --emit records)")
-
-
-def _record_samples(path: Path, vocab_size: int) -> list[synth.Sample]:
-    """The samples of a parallel-record file; a malformed record, or one
-    that record_to_sample rejects, is a ForgeError naming the file and
-    line."""
-    samples = []
-    for number, line in enumerate(_read_lines(str(path)), 1):
-        if not line.strip():
-            continue
-        try:
-            samples.append(synth.record_to_sample(next(read_records([line])), vocab_size))
-        except MalformedLine as e:
-            raise ForgeError(f"{path} line {number}: {e.reason}") from e
-        except ValueError as e:
-            raise ForgeError(f"{path} line {number}: {e}") from e
-    return samples
-
-
 def load_samples(path: str, vocab_size: int, split: str = "train") -> list[synth.Sample]:
+    """The samples of a data file, or of the `split` file of a data
+    directory, as synth.read_samples reads them."""
     p = Path(path)
     if p.is_dir():
         p = p / f"{split}.jsonl"
     if not p.exists():
         raise ForgeError(f"no such data file: {p}")
-    return _sniff_samples(p, vocab_size)
+    return synth.read_samples(p, vocab_size)
+
+
+def _eval_sets(paths: dict[str, str], vocab_size: int) -> dict[str, synth.EvalSet]:
+    """One EvalSet per named data file (the "eval" split of a directory)."""
+    return {name: synth.EvalSet(name, load_samples(path, vocab_size, split="eval"))
+            for name, path in paths.items()}
 
 
 def _load_model(args) -> tinylm.ModelParams:
@@ -293,15 +266,9 @@ def cmd_sweep(args) -> int:
     samples = load_samples(args.data, params.config.vocab_size)
     batches = synth.make_batches(samples, config.batch_size)
 
-    eval_sets = {}
-    if args.eval_translation:
-        eval_sets["translation"] = synth.EvalSet(
-            "translation", load_samples(args.eval_translation,
-                                        params.config.vocab_size, split="eval"))
-    if args.eval_general:
-        eval_sets["general"] = synth.EvalSet(
-            "general", load_samples(args.eval_general,
-                                    params.config.vocab_size, split="eval"))
+    eval_sets = _eval_sets({name: path for name, path in (
+        ("translation", args.eval_translation), ("general", args.eval_general)) if path},
+        params.config.vocab_size)
     if not eval_sets:
         raise ForgeError("sweep needs --eval-translation and/or --eval-general")
 
@@ -487,11 +454,7 @@ def cmd_compare(args) -> int:
         start = trainer.run(start, pre_batches, trainer.TrainMode.full_finetune(),
                             pre_cfg).params
 
-    eval_sets = {
-        name: synth.EvalSet(name, load_samples(path, model_config.vocab_size,
-                                               split="eval"))
-        for name, path in spec["eval_sets"].items()
-    }
+    eval_sets = _eval_sets(spec["eval_sets"], model_config.vocab_size)
     start_evals = {name: synth.evaluate(start, es) for name, es in eval_sets.items()}
 
     train_samples = load_samples(spec["train_data"], model_config.vocab_size)

@@ -87,9 +87,9 @@ class MissingScore(ScorerFailure):
 class SidecarParseError(ScorerFailure):
     """Sidecar file line is unparseable or duplicates an id."""
 
-    def __init__(self, line_no: int, reason: str = ""):
+    def __init__(self, path, line_no: int, reason: str = ""):
         self.line_no = line_no
-        super().__init__(f"sidecar parse error at line {line_no}: {reason}")
+        super().__init__(f"sidecar parse error at {path} line {line_no}: {reason}")
 
 
 class AllMasked(ForgeError):

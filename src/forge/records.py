@@ -8,8 +8,10 @@ the input stream and is assigned at read time, never serialized.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import regex as _regex
@@ -75,11 +77,34 @@ class InstructionSample:
         return json.dumps(obj, ensure_ascii=False)
 
 
-def _parse_line(line: str, line_no: int) -> ParallelRecord:
+# What read_lines gives for a line that is not UTF-8. It is not JSON, so
+# every reader of JSON lines takes it for a malformed line at no cost to
+# the other lines, and no line of a UTF-8 file can equal it.
+NOT_UTF8 = "\udcff"
+# what the "surrogateescape" error handler decodes a byte that is not UTF-8 to
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a text file, split as text mode splits them: at "\\n",
+    "\\r\\n" or a lone "\\r", each ending read as "\\n". A line that is not
+    UTF-8 comes back as NOT_UTF8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        return [NOT_UTF8 if _ESCAPED_BYTE.search(line) else line for line in f]
+
+
+def parse_json_line(line: str, line_no: int) -> Any:
+    """The JSON value of one input line; MalformedLine if it has none."""
     try:
-        obj = json.loads(line)
+        return json.loads(line)
     except json.JSONDecodeError as e:
-        raise MalformedLine(line_no, f"invalid JSON ({e.msg})") from e
+        reason = "not UTF-8" if line == NOT_UTF8 else f"invalid JSON ({e.msg})"
+        raise MalformedLine(line_no, reason) from e
+
+
+def record_from_object(obj: Any, line_no: int) -> ParallelRecord:
+    """The record a decoded JSON line holds; MalformedLine naming line_no
+    if it holds none."""
     if not isinstance(obj, dict):
         raise MalformedLine(line_no, "not a JSON object")
     for key in REQUIRED_KEYS:
@@ -102,17 +127,17 @@ def read_records(
 ) -> Iterator[ParallelRecord]:
     """Yield records from a JSONL stream in input order, seq = 0,1,2,...
 
-    Blank lines are skipped. A line that fails to parse raises
-    MalformedLine unless ``on_malformed`` is given, in which case the
-    handler is called and the line is dropped (seq numbering is not
-    consumed by dropped lines).
+    Blank lines are skipped. A line that fails to parse, NOT_UTF8 among
+    them, raises MalformedLine unless ``on_malformed`` is given, in which
+    case the handler is called and the line is dropped (seq numbering is
+    not consumed by dropped lines).
     """
     seq = 0
     for line_no, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
-            record = _parse_line(line, line_no)
+            record = record_from_object(parse_json_line(line, line_no), line_no)
         except MalformedLine as err:
             if on_malformed is None:
                 raise

@@ -59,7 +59,7 @@ from .errors import (
     SpawnFailure,
     UnencodableRequest,
 )
-from .records import is_lang_code
+from .records import NOT_UTF8, is_lang_code, read_lines
 
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_WINDOW = 256
@@ -285,11 +285,11 @@ class SubprocessScorer(Scorer):
             pass
 
 
-def _sidecar_float(line_no: int, field: str, text: str) -> float:
+def _sidecar_float(path, line_no: int, field: str, text: str) -> float:
     try:
         return float(text)
     except ValueError as e:
-        raise SidecarParseError(line_no, f"bad {field} {text!r}") from e
+        raise SidecarParseError(path, line_no, f"bad {field} {text!r}") from e
 
 
 class SidecarScorer(Scorer):
@@ -297,29 +297,31 @@ class SidecarScorer(Scorer):
 
     def __init__(self, path: str | Path):
         self._scores: dict[int, ScoreResponse] = {}
-        with open(path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                try:
-                    rid = int(fields[0])
-                except ValueError as e:
-                    raise SidecarParseError(line_no, f"bad id {fields[0]!r}") from e
-                if rid in self._scores:
-                    raise SidecarParseError(line_no, f"duplicate id {rid}")
-                if len(fields) == 2:
-                    obj = {"id": rid, "loss": _sidecar_float(line_no, "loss", fields[1])}
-                elif len(fields) == 3:
-                    obj = {"id": rid, "lang": fields[1],
-                           "prob": _sidecar_float(line_no, "prob", fields[2])}
-                else:
-                    raise SidecarParseError(line_no, "expected 2 or 3 tab-separated fields")
-                try:
-                    self._scores[rid] = _response_from_object(obj)
-                except ValueError as e:
-                    raise SidecarParseError(line_no, str(e)) from e
+        for line_no, line in enumerate(read_lines(path), start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line == NOT_UTF8:
+                raise SidecarParseError(path, line_no, "not UTF-8")
+            fields = line.split("\t")
+            try:
+                rid = int(fields[0])
+            except ValueError as e:
+                raise SidecarParseError(path, line_no, f"bad id {fields[0]!r}") from e
+            if rid in self._scores:
+                raise SidecarParseError(path, line_no, f"duplicate id {rid}")
+            if len(fields) == 2:
+                obj = {"id": rid, "loss": _sidecar_float(path, line_no, "loss", fields[1])}
+            elif len(fields) == 3:
+                obj = {"id": rid, "lang": fields[1],
+                       "prob": _sidecar_float(path, line_no, "prob", fields[2])}
+            else:
+                raise SidecarParseError(path, line_no,
+                                        "expected 2 or 3 tab-separated fields")
+            try:
+                self._scores[rid] = _response_from_object(obj)
+            except ValueError as e:
+                raise SidecarParseError(path, line_no, str(e)) from e
 
     def score(self, requests: Sequence[ScoreRequest]) -> list[ScoreResponse]:
         out = []

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ForgeError
-from .records import ParallelRecord
+from .errors import ForgeError, MalformedLine
+from .records import ParallelRecord, parse_json_line, read_lines, record_from_object
 # greedy_decode stays importable from here because the benchmark's tracer wraps it.
 from .tinylm import (  # noqa: F401
     Batch,
@@ -279,32 +279,43 @@ def _is_token_list(value) -> bool:
         isinstance(t, int) and not isinstance(t, bool) for t in value)
 
 
+def _token_sample(obj, line: str, vocab_size: int) -> Sample:
+    if not (isinstance(obj, dict) and _is_token_list(obj.get("prompt"))
+            and _is_token_list(obj.get("response"))):
+        hint = (" (instruction-text output is not trainable; refine with --emit records)"
+                if isinstance(obj, dict) and "instruction" in obj else "")
+        raise ValueError(f"a token sample must be an object whose 'prompt' and "
+                         f"'response' are lists of integers, not {line.strip()[:80]!r}{hint}")
+    for field in ("prompt", "response"):
+        if not obj[field]:
+            raise ValueError(f"{field!r} is empty")
+        outside = [t for t in obj[field] if not 0 <= t < vocab_size]
+        if outside:
+            raise ValueError(f"token id {outside[0]} in {field!r} lies outside "
+                             f"the vocabulary [0, {vocab_size})")
+    return Sample(prompt=tuple(obj["prompt"]), response=tuple(obj["response"]))
+
+
 def read_samples(path: str | Path, vocab_size: int) -> list[Sample]:
-    """Token samples, one object per non-blank line whose "prompt" and
-    "response" are non-empty lists of token ids in [0, vocab_size); any
-    other line is a ForgeError naming the file and line."""
+    """The samples of a data file, one JSON object per non-blank line. The
+    first object decides what the file holds: parallel records if it has
+    "src" and no "prompt", which record_to_sample re-encodes, else token
+    samples, whose "prompt" and "response" are non-empty lists of token
+    ids in [0, vocab_size). Any line that is not UTF-8, not JSON, or not
+    of that kind is a ForgeError naming the file and line."""
     samples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = None
-            where = f"{path} line {number}"
-            if not (isinstance(obj, dict) and _is_token_list(obj.get("prompt"))
-                    and _is_token_list(obj.get("response"))):
-                raise ForgeError(f"{where}: a token sample must be an object "
-                                 f"whose 'prompt' and 'response' are lists of integers, "
-                                 f"not {line.strip()[:80]!r}")
-            for field in ("prompt", "response"):
-                if not obj[field]:
-                    raise ForgeError(f"{where}: {field!r} is empty")
-                outside = [t for t in obj[field] if not 0 <= t < vocab_size]
-                if outside:
-                    raise ForgeError(f"{where}: token id {outside[0]} in {field!r} lies "
-                                     f"outside the vocabulary [0, {vocab_size})")
-            samples.append(Sample(prompt=tuple(obj["prompt"]),
-                                  response=tuple(obj["response"])))
+    holds_records = None
+    for number, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = parse_json_line(line, number)
+            if holds_records is None:
+                holds_records = isinstance(obj, dict) and "src" in obj and "prompt" not in obj
+            samples.append(record_to_sample(record_from_object(obj, number), vocab_size)
+                           if holds_records else _token_sample(obj, line, vocab_size))
+        except MalformedLine as e:
+            raise ForgeError(f"{path} line {number}: {e.reason}") from e
+        except ValueError as e:
+            raise ForgeError(f"{path} line {number}: {e}") from e
     return samples

@@ -741,6 +741,9 @@ def _checkpoint(tmp_path):
     '{"prompt": [], "response": [5, 6]}',
     '{"prompt": [2, -5, 1], "response": [6]}',
     '{"prompt": [2, 5, 1], "response": [6, 64]}',
+    '{}',
+    '{"instruction": "Translate t1", "response": "t2"}',
+    '{"prompt": [2, 5, 1], "response": [6], "note": "\udcff"}',  # byte 0xff
 ])
 def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line):
     # train meets the bad line first, eval after a good line and a blank one
@@ -748,7 +751,7 @@ def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line
     data = tmp_path / "samples.jsonl"
     first = command == "train"
     lines = [line, good] if first else [good, "", line]
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     argv = {"train": ["train", "--mode", "fft", "--out", str(tmp_path / "run"),
                       "--model-config", str(_write_model_config(tmp_path))],
             "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path))]}[command]
@@ -770,6 +773,9 @@ def _record(src_line, tgt_line):
     _record("t1", "t2 hello"),
     '{"src": "qaa", "trg": "qab", "src_line": "t1"}',
     '{"src": "qaa", "trg": "qaa", "src_line": "t1", "tgt_line": "t2"}',
+    '{}',
+    '{"instruction": "Translate t1", "response": "t2"}',
+    '{"src": "qaa", "trg": "qab", "src_line": "t1 \udcff", "tgt_line": "t2"}',  # byte 0xff
 ])
 def test_bad_record_line_is_a_domain_error(tmp_path, capsys, command, line):
     # the parallel-record twin of the token-sample test above
@@ -777,7 +783,7 @@ def test_bad_record_line_is_a_domain_error(tmp_path, capsys, command, line):
     data = tmp_path / "records.jsonl"
     first = command == "train"
     lines = [line, good] if first else [good, "", line]
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     argv = {"train": ["train", "--mode", "fft", "--out", str(tmp_path / "run"),
                       "--model-config", str(_write_model_config(tmp_path))],
             "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path))]}[command]
@@ -785,6 +791,96 @@ def test_bad_record_line_is_a_domain_error(tmp_path, capsys, command, line):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert f"{data} line {1 if first else 3}" in err, err
+
+
+# Every flag that names an input file, in a command that reads that file
+# before anything else can fail: {bad} is the file under test, and the
+# other fields name good files that _input_files writes.
+INPUT_FILE_FLAGS = {
+    "train --data": "train --mode fft --model-config {model} --data {bad} --out {out}",
+    "eval --data": "eval --checkpoint {ckpt} --data {bad}",
+    "sweep --data": "sweep --model-config {model} --data {bad} --out {out} "
+                    "--eval-translation {data}",
+    "analyze-gradients --data": "analyze-gradients --checkpoint {ckpt} --data {bad} "
+                                "--out {out}",
+    "sweep --eval-translation": "sweep --model-config {model} --data {data} --out {out} "
+                                "--eval-translation {bad}",
+    "sweep --eval-general": "sweep --model-config {model} --data {data} --out {out} "
+                            "--eval-general {bad}",
+    "train --model-config": "train --mode fft --model-config {bad} --data {data} --out {out}",
+    "--config": "--config {bad} train --mode fft --model-config {model} --data {data} "
+                "--out {out}",
+    "refine --config": "refine --input {records} --output {out} --config {bad}",
+    "compare --spec": "compare --spec {bad} --out {out}",
+    "refine --dev-set": "refine --input {records} --output {out} --dev-set {bad}",
+    "refine --templates": "refine --input {records} --output {out} --templates {bad}",
+    "refine --quality-scorer": "refine --input {records} --output {out} "
+                               "--quality-scorer {bad}",
+    "refine --input --strict": "refine --input {bad} --output {out} --strict",
+    "refine --input": "refine --input {bad} --output {out}",
+}
+JSON_FLAGS = ("train --model-config", "--config", "refine --config", "compare --spec")
+
+
+def _input_files(tmp_path) -> dict:
+    data = tmp_path / "samples.jsonl"
+    data.write_text(json.dumps({"prompt": [2, 5, 1], "response": [6, 7]}) + "\n",
+                    encoding="utf-8")
+    records = tmp_path / "records.jsonl"
+    records.write_text(_record("t1 t2", "t3 t4") + "\n", encoding="utf-8")
+    return {"model": _write_model_config(tmp_path), "ckpt": _checkpoint(tmp_path),
+            "data": data, "records": records, "out": tmp_path / "out"}
+
+
+@pytest.mark.parametrize("flag, content", [
+    *(pytest.param(flag, b'\n{"note": "\xff"}\n', id=f"{flag}: not UTF-8")
+      for flag in INPUT_FILE_FLAGS),
+    *(pytest.param(flag, b"{config: 1}\n", id=f"{flag}: not JSON") for flag in JSON_FLAGS),
+])
+def test_every_input_file_flag_names_a_bad_file(tmp_path, capsys, flag, content):
+    # a file with a line that is not UTF-8, or a JSON file that is not JSON,
+    # is a domain error naming the file; refine's input names only the line
+    # with --strict, and without it counts the line as malformed
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    files = dict(_input_files(tmp_path), bad=bad)
+    argv = [word.format(**files) for word in INPUT_FILE_FLAGS[flag].split()]
+    if flag == "refine --input":
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["malformed_lines"] == 1
+        return
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert ("malformed line 2: not UTF-8" if flag == "refine --input --strict"
+            else str(bad)) in err, err
+    if flag not in JSON_FLAGS:
+        assert "line 2" in err and "UTF-8" in err, err
+
+
+def test_refine_input_line_that_is_not_utf8_is_a_malformed_line(tmp_path, fixture_paths):
+    # without --strict the line is counted and dropped, and takes no seq
+    lines = fixture_paths["input"].read_bytes().splitlines(True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines[:2] + [
+        b'{"src": "en", "trg": "de", "src_line": "a \xff", "tgt_line": "b"}\n'] + lines[2:]))
+    outputs = []
+    for name, path in (("bad", bad), ("good", fixture_paths["input"])):
+        for emit in ("records", "instructions"):
+            out, report = tmp_path / f"{name}_{emit}.jsonl", tmp_path / f"{name}_{emit}.json"
+            assert main([
+                "refine", "--input", str(path), "--output", str(out), "--emit", emit,
+                "--langid-scorer", str(fixture_paths["langid"]),
+                "--quality-scorer", str(fixture_paths["quality"]),
+                "--dev-set", str(fixture_paths["dev_records"]),
+                "--dev-scorer", str(fixture_paths["dev"]), "--report", str(report),
+            ]) == 0
+            outputs.append((out.read_bytes(), json.loads(report.read_text(encoding="utf-8"))))
+    for (bad_out, bad_report), (good_out, good_report) in zip(outputs[:2], outputs[2:]):
+        assert bad_out == good_out
+        assert bad_report["malformed_lines"] == good_report["malformed_lines"] + 1
+        good_report["malformed_lines"] += 1
+        assert bad_report == good_report
 
 
 @pytest.mark.parametrize("flag, value", [

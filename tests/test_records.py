@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from forge.errors import MalformedLine
 from forge.records import (
+    NOT_UTF8,
     ParallelRecord,
     TokenizationMode,
     is_lang_code,
+    read_lines,
     read_records,
     tokenization_mode,
     tokenize,
@@ -72,6 +74,45 @@ def test_on_malformed_handler_drops_and_counts():
     records = list(read_records(lines, on_malformed=seen.append))
     assert [r.seq for r in records] == [0, 1]
     assert len(seen) == 1 and seen[0].line_no == 2
+
+
+# pieces of a byte stream: line ends of every kind, characters that other
+# splitters take for line ends, and bytes that are not UTF-8
+_LINE_PIECES = [b"a", b" ", b"\n", b"\r", b"\r\n", b"\x0c", b"\x1e", b"\xff", b"\xe4",
+                "\u00e9".encode(), "\u2028".encode(), "\u0085".encode(), b"\xed\xa0\x80"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=24))
+def test_read_lines_splits_as_text_mode(tmp_path_factory, pieces):
+    # latin-1 maps bytes to characters one to one, so text mode splits it
+    # where it would split UTF-8; each line is its UTF-8 text or NOT_UTF8
+    data = b"".join(pieces)
+    path = tmp_path_factory.mktemp("lines") / "data.txt"
+    path.write_bytes(data)
+    expected = []
+    for raw in io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").readlines():
+        try:
+            expected.append(raw.encode("latin-1").decode("utf-8"))
+        except UnicodeDecodeError:
+            expected.append(NOT_UTF8)
+    assert read_lines(path) == expected
+    if NOT_UTF8 not in expected:
+        with open(path, encoding="utf-8") as f:
+            assert expected == f.readlines()
+
+
+def test_line_that_is_not_utf8_is_malformed(tmp_path):
+    good = '{"src":"en","trg":"de","src_line":"a","tgt_line":"b"}\n'
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(good.encode() + b'{"src":"en","trg":"de","src_line":"\xff",'
+                     b'"tgt_line":"b"}\n' + good.encode())
+    seen = []
+    records = list(read_records(read_lines(path), on_malformed=seen.append))
+    assert [r.seq for r in records] == [0, 1]
+    assert [(e.line_no, e.reason) for e in seen] == [(2, "not UTF-8")]
+    with pytest.raises(MalformedLine, match="malformed line 2: not UTF-8"):
+        list(read_records(read_lines(path)))
 
 
 def test_write_empty():

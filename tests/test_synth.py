@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge.records import ParallelRecord
+from forge.records import ParallelRecord, write_records
 from forge.synth import (
     PAD,
     RESERVED,
@@ -272,3 +272,29 @@ def test_write_read_samples_round_trip(tmp_path):
     path = tmp_path / "samples.jsonl"
     write_samples(train, path)
     assert read_samples(path, spec.vocab_size) == train
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \n\r\n\t\n"])
+def test_empty_or_blank_data_file_holds_no_samples(tmp_path, text):
+    path = tmp_path / "samples.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert read_samples(path, 32) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(vocab_size=st.integers(8, 40), perm_seed=st.integers(0, 9),
+       reorder=st.sampled_from(["identity", "reverse"]), n=st.integers(1, 30),
+       seed=st.integers(0, 2**16))
+def test_samples_read_back_alike_as_token_samples_or_records(
+        tmp_path_factory, vocab_size, perm_seed, reorder, n, seed):
+    # the first object decides the format; both formats give the same samples
+    spec = SynthLangSpec(vocab_size=vocab_size, perm_seed=perm_seed, reorder=reorder,
+                         min_len=1, max_len=5)
+    train, eval_set = gen_translation_corpus(spec, n, seed)
+    samples = train + eval_set.samples
+    root = tmp_path_factory.mktemp("round_trip")
+    write_samples(samples, root / "samples.jsonl")
+    with open(root / "records.jsonl", "w", encoding="utf-8") as f:
+        write_records((sample_to_record(s, spec) for s in samples), f)
+    assert read_samples(root / "samples.jsonl", vocab_size) == samples
+    assert read_samples(root / "records.jsonl", vocab_size) == samples
