@@ -8,6 +8,7 @@ reruns. Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -17,9 +18,10 @@ from pathlib import Path
 
 
 from . import refinery, sensitivity, synth, tinylm, trainer
-from .errors import ForgeError
-from .records import NOT_UTF8, ParallelRecord, read_lines, read_records, write_records
-from .scorers import Scorer, open_scorer
+from .errors import ForgeError, MalformedLine
+from .records import (NOT_UTF8, ParallelRecord, read_config, read_json, read_lines, read_object,
+                      read_records, write_records)
+from .scorers import open_scorer
 
 
 def _load_records(path: str) -> list[ParallelRecord]:
@@ -29,36 +31,25 @@ def _load_records(path: str) -> list[ParallelRecord]:
         raise ForgeError(f"{path}: {e}") from e
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ForgeError(f"{path}: not a JSON file ({e})") from e
-
-
 def _global_defaults(args) -> dict:
+    """The --config file's sections; each is read where it is used."""
     if not getattr(args, "config", None):
         return {}
-    defaults = _load_json(args.config)
-    _check_keys(defaults, ("model", "train", "refinery"), (), "config file")
-    return defaults
+    sections = dict.fromkeys(("model", "train", "refinery"), object)
+    return read_object(read_json(args.config), sections, "config file")
 
 
 # ---------------------------------------------------------------------------
 # refine
 
-def _open_optional_scorer(spec: str | None) -> Scorer | None:
-    return open_scorer(spec) if spec else None
-
-
 def cmd_refine(args) -> int:
     defaults = _global_defaults(args)
     if args.pipeline_config:
-        config = _read_config(refinery.RefineryConfig, _load_json(args.pipeline_config),
-                              "refinery config")
+        config = read_config(refinery.RefineryConfig, read_json(args.pipeline_config),
+                             "refinery config")
     else:
-        config = _read_config(refinery.RefineryConfig, defaults.get("refinery", {}),
-                              "config 'refinery'")
+        config = read_config(refinery.RefineryConfig, defaults.get("refinery", {}),
+                             "config 'refinery'")
     if args.strict:
         config.strict = True
 
@@ -71,22 +62,21 @@ def cmd_refine(args) -> int:
         templates = tuple(l.rstrip("\n") for l in lines if l.rstrip("\n"))
 
     dev_records = _load_records(args.dev_set) if args.dev_set else None
-    langid_scorer = _open_optional_scorer(args.langid_scorer)
-    quality_scorer = _open_optional_scorer(args.quality_scorer)
-    dev_scorer = _open_optional_scorer(args.dev_scorer)
-    try:
-        result = refinery.run_pipeline(
-            read_lines(args.input), config,
-            langid_scorer=langid_scorer,
-            quality_scorer=quality_scorer,
-            dev_records=dev_records,
-            dev_scorer=dev_scorer,
-            templates=templates,
-        )
-    finally:
-        for scorer in (langid_scorer, quality_scorer, dev_scorer):
-            if scorer is not None:
-                scorer.close()
+    with contextlib.ExitStack() as scorers:
+        langid_scorer, quality_scorer, dev_scorer = (
+            scorers.enter_context(open_scorer(spec)) if spec else None
+            for spec in (args.langid_scorer, args.quality_scorer, args.dev_scorer))
+        try:
+            result = refinery.run_pipeline(
+                read_lines(args.input), config,
+                langid_scorer=langid_scorer,
+                quality_scorer=quality_scorer,
+                dev_records=dev_records,
+                dev_scorer=dev_scorer,
+                templates=templates,
+            )
+        except MalformedLine as e:
+            raise ForgeError(f"{args.input}: {e}") from e
 
     with open(args.output, "w", encoding="utf-8") as f:
         if args.emit == "records":
@@ -157,7 +147,7 @@ def _load_model(args) -> tinylm.ModelParams:
         return tinylm.load_checkpoint(args.checkpoint)
     defaults = _global_defaults(args)
     if getattr(args, "model_config", None):
-        cfg = tinylm.ModelConfig.from_dict(_load_json(args.model_config), args.model_config)
+        cfg = tinylm.ModelConfig.from_dict(read_json(args.model_config), args.model_config)
     elif "model" in defaults:
         cfg = tinylm.ModelConfig.from_dict(defaults["model"], f"{args.config} 'model'")
     else:
@@ -168,8 +158,8 @@ def _load_model(args) -> tinylm.ModelParams:
 def _train_config(args) -> trainer.TrainConfig:
     """The --config file's train section with the command-line options
     over it; both are checked by TrainConfig, the file's keys first."""
-    config = _read_config(trainer.TrainConfig, _global_defaults(args).get("train", {}),
-                          "config 'train'")
+    config = read_config(trainer.TrainConfig, _global_defaults(args).get("train", {}),
+                         "config 'train'")
     options = {name: getattr(args, name, None) for name in (
         "lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
@@ -320,66 +310,25 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-# The keys of an experiment spec (the required ones first), of its
-# pretrain block, and of its rows: every row takes the common keys, and
-# each mode its own.
+# The kinds of the values of an experiment spec, of its pretrain block
+# and of its rows: every row takes the common keys, and each mode its
+# own. A value of kind object is checked where it is read.
 SPEC_REQUIRED = ("model_config", "train_data", "eval_sets", "rows")
-SPEC_KEYS = SPEC_REQUIRED + ("start_checkpoint", "pretrain", "seed", "out_dir")
-PRETRAIN_KEYS = ("data", "config")
-ROW_KEYS = ("label", "mode", "train")
-MODE_KEYS = {"two-stage": ("k", "m", "skip"), "single-stage": ("k", "m", "skip"),
-             "fft": (), "single-layer": ("layer",)}
-
-
-def _check_keys(obj, allowed, required, what: str) -> None:
-    """Reject a spec object that is not a JSON object, misses a required
-    key, or has a key nothing reads."""
-    if not isinstance(obj, dict):
-        raise ForgeError(f"{what} must be an object, not {obj!r}")
-    for key in required:
-        if key not in obj:
-            raise ForgeError(f"missing {what} key {key!r}")
-    for key in obj:
-        if key not in allowed:
-            raise ForgeError(f"unknown {what} key {key!r}")
-
-
-def _check_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ForgeError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
-def _read_config(cls, obj, what: str):
-    """A `cls` config dataclass from a JSON object. Every key must be a
-    field, and every value of the kind of the field's default: true or
-    false, an integer, a number, or a list of strings for a tuple."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    _check_keys(obj, defaults, (), what)
-    values = {}
-    for key, value in obj.items():
-        default, name = defaults[key], f"{what} {key!r}"
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ForgeError(f"{name} must be true or false, not {value!r}")
-        elif isinstance(default, int):
-            _check_int(value, name)
-        elif isinstance(default, tuple):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ForgeError(f"{name} must be a list of strings, not {value!r}")
-            value = tuple(value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ForgeError(f"{name} must be a number, not {value!r}")
-        values[key] = value
-    return cls(**values)
+SPEC_KINDS = {"model_config": str, "train_data": str, "eval_sets": dict, "rows": list,
+              "start_checkpoint": str | None, "pretrain": dict | None, "seed": int,
+              "out_dir": str}
+PRETRAIN_KINDS = {"data": str, "config": object}
+ROW_KINDS = {"label": object, "mode": object, "train": object}
+_SELECTION_KINDS = {"k": int, "m": int, "skip": list[int]}
+MODE_KINDS = {"two-stage": _SELECTION_KINDS, "single-stage": _SELECTION_KINDS,
+              "fft": {}, "single-layer": {"layer": int}}
 
 
 def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMode,
                                                             trainer.TrainConfig]]:
-    """Check every row of the spec and the spec's seed, and resolve each
-    row's mode and train config, so that a bad row fails before anything
-    trains. A row without a train seed of its own takes the spec's."""
-    seed = _check_int(spec.get("seed", 0), "spec 'seed'")
+    """Check every row of the spec, and resolve each row's mode and train
+    config, so that a bad row fails before anything trains. A row without
+    a train seed of its own takes the spec's."""
     labels = []
     for row in spec["rows"]:
         if not isinstance(row, dict) or not isinstance(row.get("label"), str):
@@ -390,22 +339,16 @@ def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMo
     plan = []
     for row in spec["rows"]:
         try:
-            if not isinstance(row.get("mode"), str) or row["mode"] not in MODE_KEYS:
+            if not isinstance(row.get("mode"), str) or row["mode"] not in MODE_KINDS:
                 raise ForgeError(f"unknown mode {row.get('mode')!r}")
-            _check_keys(row, ROW_KEYS + MODE_KEYS[row["mode"]], (), "row")
-            skip = row.get("skip", [])
-            if not isinstance(skip, list):
-                raise ForgeError(f"'skip' must be a list, not {skip!r}")
-            mode = parse_mode(
-                row["mode"], n_layers, _check_int(row.get("k", 0), "'k'"),
-                _check_int(row.get("m", 0), "'m'"),
-                [_check_int(i, "a 'skip' entry") for i in skip],
-                None if "layer" not in row else _check_int(row["layer"], "'layer'"))
-            cfg = _read_config(trainer.TrainConfig, row.get("train", {}), "train")
+            read_object(row, ROW_KINDS | MODE_KINDS[row["mode"]], "row")
+            mode = parse_mode(row["mode"], n_layers, row.get("k", 0), row.get("m", 0),
+                              row.get("skip", ()), row.get("layer"))
+            cfg = read_config(trainer.TrainConfig, row.get("train", {}), "train")
         except (ForgeError, ValueError) as e:
             raise ForgeError(f"row {row['label']!r}: {e}") from e
         if "seed" not in row.get("train", {}):
-            cfg.seed = seed
+            cfg.seed = spec.get("seed", 0)
         plan.append((row, mode, cfg))
     return plan
 
@@ -421,24 +364,14 @@ def _compare_row(start: tinylm.ModelParams, train_samples: list[synth.Sample],
 
 def cmd_compare(args) -> int:
     workers = _workers(args)
-    spec = _load_json(args.spec)
-    _check_keys(spec, SPEC_KEYS, SPEC_REQUIRED + (() if args.out else ("out_dir",)), "spec")
-    if not isinstance(spec["rows"], list) or not isinstance(spec["eval_sets"], dict):
-        raise ForgeError("'rows' must be a list and 'eval_sets' an object")
-    paths = [(f"spec {key!r}", spec[key]) for key in ("model_config", "train_data", "out_dir")
-             if key in spec]
-    if spec.get("start_checkpoint") is not None:
-        paths.append(("spec 'start_checkpoint'", spec["start_checkpoint"]))
-    paths += [(f"eval set {name!r}", path) for name, path in spec["eval_sets"].items()]
+    spec = read_object(read_json(args.spec), SPEC_KINDS, "spec",
+                       SPEC_REQUIRED + (() if args.out else ("out_dir",)))
+    read_object(spec["eval_sets"], {...: str}, "eval set")
     pre = spec.get("pretrain")
     if pre is not None:
-        _check_keys(pre, PRETRAIN_KEYS, ("data",), "pretrain")
-        pre_cfg = _read_config(trainer.TrainConfig, pre.get("config", {}), "pretrain config")
-        paths.append(("pretrain 'data'", pre["data"]))
-    for what, path in paths:
-        if not isinstance(path, str):
-            raise ForgeError(f"{what} must be a path string, not {path!r}")
-    model_config = tinylm.ModelConfig.from_dict(_load_json(spec["model_config"]),
+        read_object(pre, PRETRAIN_KINDS, "pretrain", ("data",))
+        pre_cfg = read_config(trainer.TrainConfig, pre.get("config", {}), "pretrain config")
+    model_config = tinylm.ModelConfig.from_dict(read_json(spec["model_config"]),
                                                 spec["model_config"])
     plan = _compare_plan(spec, model_config.n_layers)
 
@@ -462,24 +395,16 @@ def cmd_compare(args) -> int:
     cells = trainer.run_rows(
         functools.partial(_compare_row, start, train_samples, eval_sets),
         ((repr(row["label"]), (mode, cfg)) for row, mode, cfg in plan), workers)
-    table = []
-    for (row, _, _), row_cells in zip(plan, cells):
-        entry = {"label": row["label"], "mode": row["mode"], **row_cells}
-        if "general" in eval_sets:
-            entry["delta_general_ce"] = entry["general_ce"] - start_evals["general"].mean_ce
-        table.append(entry)
-
-    start_row = {"label": "start", "mode": "none", **_eval_cells(start_evals)}
-    if "general" in eval_sets:
-        start_row["delta_general_ce"] = 0.0
-
-    full_table = [start_row] + table
+    table = [{"label": "start", "mode": "none", **_eval_cells(start_evals)}]
+    table += [{"label": row["label"], "mode": row["mode"], **row_cells}
+              for (row, _, _), row_cells in zip(plan, cells)]
     columns = ["label", "mode"] + _eval_columns(eval_sets)
     if "general" in eval_sets:
         columns.append("delta_general_ce")
-    _write_table(out / "compare.csv", columns, full_table)
-    (out / "compare.json").write_text(json.dumps(full_table, indent=2),
-                                      encoding="utf-8")
+        for entry in table:
+            entry["delta_general_ce"] = entry["general_ce"] - start_evals["general"].mean_ce
+    _write_table(out / "compare.csv", columns, table)
+    (out / "compare.json").write_text(json.dumps(table, indent=2), encoding="utf-8")
     return 0
 
 

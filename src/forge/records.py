@@ -1,22 +1,33 @@
-"""Bitext record types, the line-delimited record codec, and tokenization.
+"""Bitext record types, the line-delimited record codec, tokenization,
+and the one checked reader of JSON from outside the program.
 
 The interchange format between all pipeline stages is UTF-8 JSONL with
 exactly the keys ``src, trg, src_line, tgt_line`` per object (extra keys
 are preserved on round-trip). ``seq`` is the record's ordinal position in
 the input stream and is assigned at read time, never serialized.
+
+Every JSON text read from a file, an input line or a scorer is decoded
+by ``parse_json``, where a decode error or nesting too deep for the
+decoder is a ValueError giving the reason. Every JSON object a command
+reads from a file (a config, an experiment spec and its parts, a
+checkpoint manifest) is checked by ``read_object``, and a config
+dataclass is read by ``read_config``.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+import types
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import (Any, Callable, Iterable, Iterator, TextIO, get_args, get_origin,
+                    get_type_hints)
 
 import regex as _regex
 
-from .errors import MalformedLine
+from .errors import ForgeError, MalformedLine
 
 REQUIRED_KEYS = ("src", "trg", "src_line", "tgt_line")
 
@@ -93,13 +104,82 @@ def read_lines(path: str | Path) -> list[str]:
         return [NOT_UTF8 if _ESCAPED_BYTE.search(line) else line for line in f]
 
 
+def parse_json(text: str) -> Any:
+    """The JSON value of text from outside the program. Text that is not
+    JSON, or nests deeper than the decoder can follow, is a ValueError
+    giving the reason."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+    except ValueError as e:  # a decode error, or an integer too long to convert
+        raise ValueError(f"invalid JSON ({e})") from e
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON value of a UTF-8 file; a ForgeError naming the file if it
+    has none."""
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # UnicodeDecodeError among them
+        raise ForgeError(f"{path}: {e}") from e
+
+
 def parse_json_line(line: str, line_no: int) -> Any:
     """The JSON value of one input line; MalformedLine if it has none."""
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as e:
-        reason = "not UTF-8" if line == NOT_UTF8 else f"invalid JSON ({e.msg})"
-        raise MalformedLine(line_no, reason) from e
+        return parse_json(line)
+    except ValueError as e:
+        raise MalformedLine(line_no, "not UTF-8" if line == NOT_UTF8 else str(e)) from e
+
+
+# How read_object names each kind of value. A kind is one of these, one
+# of them | None, or object for any value.
+KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+              str: "a path string", dict: "an object", list: "a list",
+              list[int]: "a list of integers", tuple[str, ...]: "a list of strings"}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a decoded JSON value is of `kind`. JSON true and false are
+    not numbers, an integer is a float, and a tuple is read from a list."""
+    if get_origin(kind) is types.UnionType:
+        return any(_is_kind(value, k) for k in get_args(kind))
+    if get_origin(kind) in (list, tuple):
+        return isinstance(value, list) and all(_is_kind(v, get_args(kind)[0]) for v in value)
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def read_object(obj, kinds: dict, what: str, required=()) -> dict:
+    """`obj` if it is a JSON object that has every `required` key, and
+    no key but those of `kinds`, each value of its key's kind; else a
+    ForgeError naming `what` and the key. A kind under the key ``...``
+    is the kind of every key `kinds` does not name."""
+    if not isinstance(obj, dict):
+        raise ForgeError(f"{what} must be an object, not {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ForgeError(f"missing {what} key {key!r}")
+    for key, value in obj.items():
+        kind = kinds.get(key, kinds.get(...))
+        if kind is None:
+            raise ForgeError(f"unknown {what} key {key!r}")
+        if not _is_kind(value, kind):
+            name = KIND_NAMES[get_args(kind)[0] if get_origin(kind) is types.UnionType else kind]
+            raise ForgeError(f"{what} {key!r} must be {name}, not {value!r}")
+    return obj
+
+
+def read_config(cls, obj, what: str):
+    """A `cls` config dataclass from a JSON object that read_object
+    checks against the field types; a field with no default is
+    required."""
+    fields, hints = dataclasses.fields(cls), get_type_hints(cls)
+    read_object(obj, {f.name: hints[f.name] for f in fields}, what,
+                [f.name for f in fields if f.default is dataclasses.MISSING])
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()})
 
 
 def record_from_object(obj: Any, line_no: int) -> ParallelRecord:

@@ -37,7 +37,6 @@ equal to their position in the dev file.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import select
@@ -59,7 +58,7 @@ from .errors import (
     SpawnFailure,
     UnencodableRequest,
 )
-from .records import NOT_UTF8, is_lang_code, read_lines
+from .records import NOT_UTF8, is_lang_code, parse_json, read_lines
 
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_WINDOW = 256
@@ -137,11 +136,7 @@ def _answer_to(request: ScoreRequest, response: ScoreResponse) -> ScoreResponse:
 
 def _parse_response_line(line: str) -> ScoreResponse:
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise ProtocolViolation(line, f"invalid JSON ({e.msg})") from e
-    try:
-        return _response_from_object(obj)
+        return _response_from_object(parse_json(line))
     except ValueError as e:
         raise ProtocolViolation(line, str(e)) from e
 

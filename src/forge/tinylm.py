@@ -16,7 +16,6 @@ float32; pass float64 for high-precision gradient checks.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -28,6 +27,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import AllMasked, ForgeError
+from .records import read_config, read_json, read_object
 
 NORM_EPS = 1e-6
 _SQRT2 = math.sqrt(2.0)
@@ -69,21 +69,9 @@ class ModelConfig:
         file, an experiment spec's model file, a checkpoint manifest): an
         object with an integer for every field that has no default, an
         optional integer init_seed, and no other key."""
-        if not isinstance(obj, dict):
-            raise ForgeError(f"{source}: a model config must be an object, not {obj!r}")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        for key, value in obj.items():
-            if key not in fields:
-                raise ForgeError(f"{source}: unknown model config key {key!r}")
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ForgeError(f"{source}: model config key {key!r} must be an integer, "
-                                 f"not {value!r}")
-        for name, f in fields.items():
-            if name not in obj and f.default is dataclasses.MISSING:
-                raise ForgeError(f"{source}: missing model config key {name!r}")
         try:
-            return cls(**obj)
-        except ValueError as e:
+            return read_config(cls, obj, "model config")
+        except (ForgeError, ValueError) as e:
             raise ForgeError(f"{source}: {e}") from e
 
 
@@ -520,16 +508,10 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
     against the model config; each tensor of the config appears exactly
     once."""
     path = Path(in_dir) / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:
-        raise ForgeError(f"{path}: not a JSON manifest ({e})") from e
-    if not isinstance(manifest, dict):
-        manifest = {}
-    config = ModelConfig.from_dict(manifest.get("config"), f"{path} 'config'")
-    table = manifest.get("tensors")
-    if not isinstance(table, list):
-        raise ForgeError(f"{path}: 'tensors' must be a list, not {table!r}")
+    manifest = read_object(read_json(path), {"tensors": list, ...: object}, str(path),
+                           ("config", "tensors"))
+    config = ModelConfig.from_dict(manifest["config"], f"{path} 'config'")
+    table = manifest["tensors"]
     expected = {(layer, name): shape for layer, name, shape in param_paths(config)}
     blob = (path.parent / "params.bin").read_bytes()
     if "params_sha256" in manifest and (

@@ -508,6 +508,23 @@ def test_refine_with_subprocess_scorer_matches_sidecar(
         (tmp_path / "rep_sub.json").read_bytes()
 
 
+def test_refine_closes_an_open_scorer_when_a_later_one_fails_to_open(
+        tmp_path, fixture_paths, stub_scorer_script, capsys):
+    before = child_pids()
+    try:
+        assert main(["refine", "--input", str(fixture_paths["input"]),
+                     "--output", str(tmp_path / "out.jsonl"),
+                     "--langid-scorer",
+                     f"{sys.executable} {stub_scorer_script} {fixture_paths['langid']}",
+                     "--quality-scorer", str(tmp_path / "no-such-scorer")]) == 1
+        assert "no-such-scorer" in capsys.readouterr().err
+        assert child_pids() == before
+    finally:
+        for pid in child_pids() - before:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _no_training(monkeypatch):
     from forge import trainer
 
@@ -594,7 +611,7 @@ def test_non_object_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch)
 
 def test_refinery_config_file_values_reach_the_config():
     from forge import refinery
-    from forge.cli import _read_config
+    from forge.records import read_config as _read_config
     obj = {"min_tokens": 3, "min_len_ratio": 1, "strict": True, "char_split_langs": ["ja"]}
     assert _read_config(refinery.RefineryConfig, obj, "refinery config") == \
         refinery.RefineryConfig(min_tokens=3, min_len_ratio=1.0, strict=True,
@@ -604,10 +621,10 @@ def test_refinery_config_file_values_reach_the_config():
 BAD_MODEL_CONFIGS = [
     ({**MODEL_CONFIG, "layers": 3}, "unknown model config key 'layers'"),
     ({k: v for k, v in MODEL_CONFIG.items() if k != "d_ff"}, "missing model config key 'd_ff'"),
-    ({**MODEL_CONFIG, "n_heads": "4"}, "model config key 'n_heads' must be an integer"),
-    ({**MODEL_CONFIG, "vocab_size": 64.0}, "model config key 'vocab_size' must be an integer"),
+    ({**MODEL_CONFIG, "n_heads": "4"}, "model config 'n_heads' must be an integer"),
+    ({**MODEL_CONFIG, "vocab_size": 64.0}, "model config 'vocab_size' must be an integer"),
     ({**MODEL_CONFIG, "n_heads": 0}, "n_heads must be >= 1"),
-    ([4, 32], "a model config must be an object"),
+    ([4, 32], "model config must be an object"),
 ]
 
 
@@ -709,10 +726,13 @@ def test_checkpoint_tensor_table_must_be_a_list(tmp_path, capsys, tensors):
     assert "'tensors' must be a list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["{config: 1}",
+                                     pytest.param("[" * 100_000, id="nested too deeply")])
 @pytest.mark.parametrize("command", ["eval", "analyze-gradients"])
-def test_checkpoint_manifest_that_is_not_json_is_a_domain_error(tmp_path, capsys, command):
+def test_checkpoint_manifest_that_is_not_json_is_a_domain_error(
+        tmp_path, capsys, command, content):
     ckpt = _checkpoint(tmp_path)
-    (ckpt / "manifest.json").write_text("{config: 1}", encoding="utf-8")
+    (ckpt / "manifest.json").write_text(content, encoding="utf-8")
     argv = [command, "--checkpoint", str(ckpt), "--data", "d"]
     if command == "analyze-gradients":
         argv += ["--out", str(tmp_path / "report.csv")]
@@ -839,7 +859,7 @@ def _input_files(tmp_path) -> dict:
 ])
 def test_every_input_file_flag_names_a_bad_file(tmp_path, capsys, flag, content):
     # a file with a line that is not UTF-8, or a JSON file that is not JSON,
-    # is a domain error naming the file; refine's input names only the line
+    # is a domain error naming the file; refine's input is an error only
     # with --strict, and without it counts the line as malformed
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
@@ -852,10 +872,34 @@ def test_every_input_file_flag_names_a_bad_file(tmp_path, capsys, flag, content)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
-    assert ("malformed line 2: not UTF-8" if flag == "refine --input --strict"
-            else str(bad)) in err, err
+    assert str(bad) in err, err
     if flag not in JSON_FLAGS:
         assert "line 2" in err and "UTF-8" in err, err
+
+
+# nested deeper than the JSON decoder can follow
+NESTED = b"[" * 100_000
+
+
+@pytest.mark.parametrize("flag", [flag for flag in INPUT_FILE_FLAGS if flag not in (
+    "refine --templates", "refine --quality-scorer")])
+def test_json_nested_too_deeply_names_the_bad_file(tmp_path, capsys, flag):
+    # a JSON file, or line 2 of a JSON-lines file, nested past the recursion
+    # limit is a domain error like any other JSON that does not decode
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NESTED if flag in JSON_FLAGS else b"\n" + NESTED + b"\n")
+    files = dict(_input_files(tmp_path), bad=bad)
+    argv = [word.format(**files) for word in INPUT_FILE_FLAGS[flag].split()]
+    if flag == "refine --input":
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["malformed_lines"] == 1
+        return
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert str(bad) in err and "nested too deeply" in err, err
+    if flag not in JSON_FLAGS:
+        assert "line 2" in err, err
 
 
 def test_refine_input_line_that_is_not_utf8_is_a_malformed_line(tmp_path, fixture_paths):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge.errors import MalformedLine
+from forge.errors import ForgeError, MalformedLine
 from forge.records import (
     NOT_UTF8,
     ParallelRecord,
     TokenizationMode,
     is_lang_code,
+    parse_json,
     read_lines,
+    read_object,
     read_records,
     tokenization_mode,
     tokenize,
@@ -74,6 +76,55 @@ def test_on_malformed_handler_drops_and_counts():
     records = list(read_records(lines, on_malformed=seen.append))
     assert [r.seq for r in records] == [0, 1]
     assert len(seen) == 1 and seen[0].line_no == 2
+
+
+GOOD_LINE = '{"src":"en","trg":"de","src_line":"a","tgt_line":"b"}'
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{config: 1}", "invalid JSON (Expecting property name"),
+    ("[" * 100_000, "invalid JSON (nested too deeply)"),
+    (GOOD_LINE[:-1] + ', "n": 1' + "0" * 5000 + "}", "invalid JSON (Exceeds the limit"),
+])
+def test_text_that_does_not_decode_is_a_value_error_and_a_malformed_line(text, reason):
+    with pytest.raises(ValueError) as err:
+        parse_json(text)
+    assert str(err.value).startswith(reason)
+    seen = []
+    records = list(read_records([GOOD_LINE + "\n", text + "\n", GOOD_LINE + "\n"],
+                                on_malformed=seen.append))
+    assert [r.seq for r in records] == [0, 1]
+    assert [(e.line_no, e.reason) for e in seen] == [(2, str(err.value))]
+
+
+OBJECT_KINDS = {"path": str, "start": str | None, "n": int, "x": float, "on": bool,
+                "skip": list[int], "any": object}
+
+
+def test_read_object_returns_an_object_of_the_kinds():
+    obj = {"path": "p", "start": None, "n": 3, "x": 2, "on": False, "skip": [], "any": [{}]}
+    assert read_object(obj, OBJECT_KINDS, "thing", ("path",)) is obj
+    assert read_object({"a": "p"}, {...: str}, "eval set") == {"a": "p"}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1], "thing must be an object, not [1]"),
+    ({"n": 1}, "missing thing key 'path'"),
+    ({"path": "p", "other": 1}, "unknown thing key 'other'"),
+    ({"path": "p", "n": True}, "thing 'n' must be an integer, not True"),
+    ({"path": "p", "n": 1.0}, "thing 'n' must be an integer, not 1.0"),
+    ({"path": "p", "x": "1"}, "thing 'x' must be a number, not '1'"),
+    ({"path": "p", "x": False}, "thing 'x' must be a number, not False"),
+    ({"path": "p", "on": 0}, "thing 'on' must be true or false, not 0"),
+    ({"path": 3}, "thing 'path' must be a path string, not 3"),
+    ({"path": "p", "start": 3}, "thing 'start' must be a path string, not 3"),
+    ({"path": "p", "skip": [1, "2"]}, "thing 'skip' must be a list of integers"),
+    ({"path": "p", "skip": [True]}, "thing 'skip' must be a list of integers"),
+])
+def test_read_object_names_the_fault(obj, message):
+    with pytest.raises(ForgeError) as err:
+        read_object(obj, OBJECT_KINDS, "thing", ("path",))
+    assert str(err.value).startswith(message)
 
 
 # pieces of a byte stream: line ends of every kind, characters that other

@@ -431,7 +431,8 @@ def test_sidecar_applies_the_wire_checks(tmp_path, line):
 
 @pytest.mark.parametrize("response", ['{"id": 0, "loss": NaN}', '{"id": 0, "loss": Infinity}',
                                       '{"id": 0, "loss": 1' + '0' * 400 + '}',
-                                      '{"id": 0, "lang": "en", "prob": 7.5}'])
+                                      '{"id": 0, "lang": "en", "prob": 7.5}',
+                                      pytest.param("[" * 100_000, id="nested too deeply")])
 def test_subprocess_applies_the_same_checks(tmp_path, response):
     body = f"""
         import sys
