@@ -39,6 +39,13 @@ def _global_defaults(args) -> dict:
     return read_object(read_json(args.config), sections, "config file")
 
 
+def _check_counts(*counts: tuple[str, int]) -> None:
+    """Each (flag, value) of counts must be at least 1."""
+    for flag, value in counts:
+        if value < 1:
+            raise ForgeError(f"{flag} must be at least 1, not {value}")
+
+
 # ---------------------------------------------------------------------------
 # refine
 
@@ -96,6 +103,8 @@ def cmd_refine(args) -> int:
 # make-synth
 
 def cmd_make_synth(args) -> int:
+    _check_counts(("--n", args.n), ("--gen-max-len", args.gen_max_len),
+                  ("--max-step", args.max_step))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
@@ -125,20 +134,21 @@ def cmd_make_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # data loading shared by train / sweep / eval / analyze
 
-def load_samples(path: str, vocab_size: int, split: str = "train") -> list[synth.Sample]:
+def load_samples(path: str, model: tinylm.ModelConfig, split: str = "train"
+                 ) -> list[synth.Sample]:
     """The samples of a data file, or of the `split` file of a data
-    directory, as synth.read_samples reads them."""
+    directory, as synth.read_samples reads them for the model."""
     p = Path(path)
     if p.is_dir():
         p = p / f"{split}.jsonl"
     if not p.exists():
         raise ForgeError(f"no such data file: {p}")
-    return synth.read_samples(p, vocab_size)
+    return synth.read_samples(p, model.vocab_size, model.max_seq_len)
 
 
-def _eval_sets(paths: dict[str, str], vocab_size: int) -> dict[str, synth.EvalSet]:
+def _eval_sets(paths: dict[str, str], model: tinylm.ModelConfig) -> dict[str, synth.EvalSet]:
     """One EvalSet per named data file (the "eval" split of a directory)."""
-    return {name: synth.EvalSet(name, load_samples(path, vocab_size, split="eval"))
+    return {name: synth.EvalSet(name, load_samples(path, model, split="eval"))
             for name, path in paths.items()}
 
 
@@ -196,7 +206,7 @@ def cmd_train(args) -> int:
     params = _load_model(args)
     config = _train_config(args)
     mode = parse_mode(args.mode, params.config.n_layers, args.k, args.m, args.skip or ())
-    samples = load_samples(args.data, params.config.vocab_size)
+    samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, config.batch_size)
 
     result = trainer.run(params, batches, mode, config)
@@ -244,8 +254,7 @@ def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 def _workers(args) -> int:
     """The row process count of `sweep` and `compare`."""
-    if args.threads < 1:
-        raise ForgeError(f"--threads must be at least 1, not {args.threads}")
+    _check_counts(("--threads", args.threads))
     return 1 if args.deterministic else args.threads
 
 
@@ -253,12 +262,12 @@ def cmd_sweep(args) -> int:
     workers = _workers(args)
     params = _load_model(args)
     config = _train_config(args)
-    samples = load_samples(args.data, params.config.vocab_size)
+    samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, config.batch_size)
 
     eval_sets = _eval_sets({name: path for name, path in (
         ("translation", args.eval_translation), ("general", args.eval_general)) if path},
-        params.config.vocab_size)
+        params.config)
     if not eval_sets:
         raise ForgeError("sweep needs --eval-translation and/or --eval-general")
 
@@ -275,11 +284,9 @@ def cmd_sweep(args) -> int:
 # analyze-gradients
 
 def cmd_analyze(args) -> int:
-    for flag, count in (("--batches", args.batches), ("--batch-size", args.batch_size)):
-        if count < 1:
-            raise ForgeError(f"{flag} must be at least 1, not {count}")
+    _check_counts(("--batches", args.batches), ("--batch-size", args.batch_size))
     params = tinylm.load_checkpoint(args.checkpoint)
-    samples = load_samples(args.data, params.config.vocab_size)
+    samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, args.batch_size)[:args.batches]
     if not batches:
         raise ForgeError("probe dataset produced no batches")
@@ -297,7 +304,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_eval(args) -> int:
     params = tinylm.load_checkpoint(args.checkpoint)
-    samples = load_samples(args.data, params.config.vocab_size, split="eval")
+    samples = load_samples(args.data, params.config, split="eval")
     eval_set = synth.EvalSet(task_id=args.task_id, samples=samples)
     result = synth.evaluate(params, eval_set)
     text = result.to_json()
@@ -382,15 +389,15 @@ def cmd_compare(args) -> int:
     else:
         start = tinylm.init(model_config)
     if pre is not None:
-        pre_samples = load_samples(pre["data"], model_config.vocab_size)
+        pre_samples = load_samples(pre["data"], model_config)
         pre_batches = synth.make_batches(pre_samples, pre_cfg.batch_size)
         start = trainer.run(start, pre_batches, trainer.TrainMode.full_finetune(),
                             pre_cfg).params
 
-    eval_sets = _eval_sets(spec["eval_sets"], model_config.vocab_size)
+    eval_sets = _eval_sets(spec["eval_sets"], model_config)
     start_evals = {name: synth.evaluate(start, es) for name, es in eval_sets.items()}
 
-    train_samples = load_samples(spec["train_data"], model_config.vocab_size)
+    train_samples = load_samples(spec["train_data"], model_config)
 
     cells = trainer.run_rows(
         functools.partial(_compare_row, start, train_samples, eval_sets),

@@ -296,13 +296,15 @@ def _token_sample(obj, line: str, vocab_size: int) -> Sample:
     return Sample(prompt=tuple(obj["prompt"]), response=tuple(obj["response"]))
 
 
-def read_samples(path: str | Path, vocab_size: int) -> list[Sample]:
+def read_samples(path: str | Path, vocab_size: int,
+                 max_seq_len: int | None = None) -> list[Sample]:
     """The samples of a data file, one JSON object per non-blank line. The
     first object decides what the file holds: parallel records if it has
     "src" and no "prompt", which record_to_sample re-encodes, else token
     samples, whose "prompt" and "response" are non-empty lists of token
     ids in [0, vocab_size). Any line that is not UTF-8, not JSON, or not
-    of that kind is a ForgeError naming the file and line."""
+    of that kind, or whose sample has more than max_seq_len tokens, is a
+    ForgeError naming the file and line."""
     samples = []
     holds_records = None
     for number, line in enumerate(read_lines(path), 1):
@@ -312,8 +314,13 @@ def read_samples(path: str | Path, vocab_size: int) -> list[Sample]:
             obj = parse_json_line(line, number)
             if holds_records is None:
                 holds_records = isinstance(obj, dict) and "src" in obj and "prompt" not in obj
-            samples.append(record_to_sample(record_from_object(obj, number), vocab_size)
-                           if holds_records else _token_sample(obj, line, vocab_size))
+            sample = (record_to_sample(record_from_object(obj, number), vocab_size)
+                      if holds_records else _token_sample(obj, line, vocab_size))
+            n = len(sample.prompt) + len(sample.response)
+            if max_seq_len is not None and n > max_seq_len:
+                raise ValueError(f"the sample's {n} tokens exceed the model's "
+                                 f"max_seq_len of {max_seq_len}")
+            samples.append(sample)
         except MalformedLine as e:
             raise ForgeError(f"{path} line {number}: {e.reason}") from e
         except ValueError as e:

@@ -16,6 +16,7 @@ float32; pass float64 for high-precision gradient checks.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import AllMasked, ForgeError
 from .records import read_config, read_json, read_object
@@ -37,6 +37,11 @@ LAYER_TENSORS = ("attn_gain", "W_Q", "W_K", "W_V", "W_O", "mlp_gain", "W_1", "W_
 GLOBAL_TENSORS = ("tok_emb", "pos_emb", "final_gain")
 
 ParamKey = tuple[int | None, str]  # (layer index, name); None = global
+
+# The most parameters a model config may ask for. The float32 tensors of
+# such a model, its gradients and its two Adam moments take 1.6 GB; a
+# config above it is refused before anything is allocated.
+MAX_PARAMS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,17 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.param_count > MAX_PARAMS:
+            raise ValueError(f"model config has {self.param_count:,} parameters, more than "
+                             f"the ceiling of {MAX_PARAMS:,}")
+
+    @property
+    def param_count(self) -> int:
+        """The number of parameters, from the shapes param_paths lists,
+        found without listing every block."""
+        shared, block = _tensor_shapes(self)
+        return (sum(math.prod(shape) for shape in shared.values())
+                + self.n_layers * sum(math.prod(shape) for shape in block.values()))
 
     @property
     def head_dim(self) -> int:
@@ -75,23 +91,25 @@ class ModelConfig:
             raise ForgeError(f"{source}: {e}") from e
 
 
+def _tensor_shapes(config: ModelConfig) -> tuple[dict[str, tuple[int, ...]],
+                                                 dict[str, tuple[int, ...]]]:
+    """The shapes of the global tensors, and of each block's tensors."""
+    d, f = config.d_model, config.d_ff
+    shared = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_seq_len, d),
+              "final_gain": (d,)}
+    block = {"attn_gain": (d,), "W_Q": (d, d), "W_K": (d, d), "W_V": (d, d),
+             "W_O": (d, d), "mlp_gain": (d,), "W_1": (d, f), "W_2": (f, d)}
+    return shared, block
+
+
 def param_paths(config: ModelConfig) -> list[tuple[int | None, str, tuple[int, ...]]]:
     """Stable enumeration of (layer, name, shape) used by init order,
     checkpoints, freezing masks, and reports."""
-    d, f = config.d_model, config.d_ff
-    paths: list[tuple[int | None, str, tuple[int, ...]]] = [
-        (None, "tok_emb", (config.vocab_size, d)),
-        (None, "pos_emb", (config.max_seq_len, d)),
-    ]
-    shapes = {
-        "attn_gain": (d,), "W_Q": (d, d), "W_K": (d, d), "W_V": (d, d),
-        "W_O": (d, d), "mlp_gain": (d,), "W_1": (d, f), "W_2": (f, d),
-    }
-    for layer in range(config.n_layers):
-        for name in LAYER_TENSORS:
-            paths.append((layer, name, shapes[name]))
-    paths.append((None, "final_gain", (d,)))
-    return paths
+    shared, block = _tensor_shapes(config)
+    return ([(None, name, shared[name]) for name in ("tok_emb", "pos_emb")]
+            + [(layer, name, block[name])
+               for layer in range(config.n_layers) for name in LAYER_TENSORS]
+            + [(None, "final_gain", shared["final_gain"])])
 
 
 def layer_keys(layer: int) -> list[ParamKey]:
@@ -141,6 +159,7 @@ def init(config: ModelConfig, dtype=np.float32) -> ModelParams:
     1/sqrt(2*n_layers) factor; without it the randomly initialized
     blocks swamp the embedding signal at depth and training stalls.
     """
+    _erf()
     rng = np.random.default_rng(config.init_seed)
     residual_scale = 1.0 / math.sqrt(2 * config.n_layers)
     tensors: dict[ParamKey, np.ndarray] = {}
@@ -195,8 +214,19 @@ def _rmsnorm_backward(dy, gain, xhat, r):
     return dx, dgain
 
 
+@functools.cache
+def _erf():
+    """scipy.special.erf, imported on first use, so that a process that
+    never builds or loads a model (refine, make-synth) never pays for
+    importing scipy. init and load_checkpoint call it, so that the row
+    workers forked after them inherit the module instead of importing it
+    each."""
+    from scipy.special import erf
+    return erf
+
+
 def _gelu(x: np.ndarray):
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = 0.5 * (1.0 + _erf()(x / _SQRT2))
     return x * cdf, cdf
 
 
@@ -507,6 +537,7 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
     params.bin, its byte length against its shape, and its key and shape
     against the model config; each tensor of the config appears exactly
     once."""
+    _erf()
     path = Path(in_dir) / "manifest.json"
     manifest = read_object(read_json(path), {"tensors": list, ...: object}, str(path),
                            ("config", "tensors"))

@@ -77,13 +77,28 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr_max", "lr_min", "weight_decay", "eps"):
+            value, positive = getattr(self, name), name == "eps"
+            if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
+                raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+                                 f"not {value!r}")
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must be <= lr_max")
-        if not 0 <= self.warmup_ratio < 1:
-            raise ValueError("warmup_ratio must be in [0, 1)")
+        for name in ("warmup_ratio", "beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
         for name in ("epochs", "batch_size", "grad_accum"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+
+
+def _is_finite(value: float) -> bool:
+    """Whether value is finite as a float; an integer too large to
+    convert is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -244,6 +259,11 @@ def _run_stage(params: ModelParams, batches: list[Batch], trainable: set[ParamKe
             log.append({"stage": stage, "step": step, "lr": lr,
                         "loss": float(np.mean(losses))})
             step += 1
+    # a later step's loss would show a non-finite parameter; the last
+    # update has no later step
+    for key in params.keys():
+        if key in trainable and not np.isfinite(params[key]).all():
+            raise NonFiniteInput(f"{stage} step {step - 1}: the update made {key} non-finite")
 
 
 def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
@@ -261,12 +281,15 @@ def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
     t0 = time.monotonic()
     params = start_params.clone()
     result = TrainResult(params=params)
-    for stage, trainable in stage_plan(mode, params.config.n_layers):
-        if not trainable:
-            result.log.append({"stage": stage, "skipped": True})
-        else:
-            _run_stage(params, batches, trainable, config, stage, result.log, boundary)
-        result.stage_params[stage] = params.clone()
+    # each non-finite value a step computes ends the run with a
+    # NonFiniteInput, so numpy need not warn of it as well
+    with np.errstate(all="ignore"):
+        for stage, trainable in stage_plan(mode, params.config.n_layers):
+            if not trainable:
+                result.log.append({"stage": stage, "skipped": True})
+            else:
+                _run_stage(params, batches, trainable, config, stage, result.log, boundary)
+            result.stage_params[stage] = params.clone()
     result.wall_clock = time.monotonic() - t0
     return result
 

@@ -7,6 +7,8 @@ of the code paths they check.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import unicodedata
 from pathlib import Path
 from typing import Sequence
@@ -135,6 +137,17 @@ def params_digest(params) -> dict:
 
     return {key: hashlib.sha256(params.tensor_bytes(key)).hexdigest()
             for key in params.keys()}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code with args in a fresh interpreter that imports forge from
+    this tree; its output comes back as text."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
 def child_pids() -> set[int]:

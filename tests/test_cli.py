@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from forge.cli import build_parser, main
-from helpers import child_pids
+from helpers import child_pids, run_python
 
 MODEL_CONFIG = {
     "n_layers": 4, "d_model": 32, "n_heads": 4, "d_ff": 64,
@@ -508,6 +508,29 @@ def test_refine_with_subprocess_scorer_matches_sidecar(
         (tmp_path / "rep_sub.json").read_bytes()
 
 
+def test_refine_and_make_synth_never_import_scipy(tmp_path, fixture_paths):
+    # only a command that builds or loads a model pays for importing scipy
+    runs = [["refine", "--input", str(fixture_paths["input"]),
+             "--output", str(tmp_path / "out.jsonl"), "--report", str(tmp_path / "rep.json"),
+             "--langid-scorer", str(fixture_paths["langid"]),
+             "--quality-scorer", str(fixture_paths["quality"]),
+             "--dev-set", str(fixture_paths["dev_records"]),
+             "--dev-scorer", str(fixture_paths["dev"])]]
+    runs += [["make-synth", "--task", task, "--n", "50", "--out", str(tmp_path / task)]
+             for task in ("translation", "general")]
+    code = ("import json, sys\n"
+            "import forge.cli\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert forge.cli.main(argv) == 0, argv\n"
+            "    loaded.append('scipy' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+    done = run_python(code, json.dumps(runs))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False] * 4
+    assert json.loads((tmp_path / "rep.json").read_text())["skipped_stages"] == []
+
+
 def test_refine_closes_an_open_scorer_when_a_later_one_fails_to_open(
         tmp_path, fixture_paths, stub_scorer_script, capsys):
     before = child_pids()
@@ -555,6 +578,53 @@ def test_training_flags_get_the_train_config_checks(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
+
+
+# (key, value) pairs that TrainConfig rejects; the first five have flags
+BAD_TRAIN_VALUES = [("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", -0.001),
+                    ("lr_min", float("nan")), ("lr_min", -1e-05),
+                    ("lr_max", 10**400), ("beta1", 1.0), ("beta1", -0.5),
+                    ("beta2", float("nan")), ("eps", 0.0), ("eps", float("inf")),
+                    ("weight_decay", -0.01), ("weight_decay", float("nan"))]
+
+
+@pytest.mark.parametrize("key, value, where", [
+    (key, value, where) for i, (key, value) in enumerate(BAD_TRAIN_VALUES)
+    for where in (("flag", "config") if i < 5 else ("config",))], ids=lambda v: str(v)[:12])
+def test_train_config_values_are_checked_before_any_data_loads(
+        tmp_path, capsys, monkeypatch, key, value, where):
+    from forge import cli
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("loaded data with an unchecked config")
+    _no_training(monkeypatch)
+    monkeypatch.setattr(cli, "load_samples", no_data)
+    argv = ["train", "--mode", "fft", "--data", "d",
+            "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]
+    if where == "flag":
+        argv.append(f"--{key.replace('_', '-')}={value!r}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
+        argv = ["--config", str(config)] + argv
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+    assert err.endswith(f", not {value!r}\n"), err
+
+
+def test_a_diverging_run_prints_one_error_line(tmp_path):
+    # the non-finite values of a run that diverges at a legal rate end it
+    # with one error, and numpy warns of none of them
+    assert main(["make-synth", "--task", "translation", "--n", "40", "--seed", "1",
+                 "--out", str(tmp_path / "synth")]) == 0
+    code = "import sys\nfrom forge.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    done = run_python(code, "train", "--mode", "fft", "--lr-max", "1e30",
+                      "--data", str(tmp_path / "synth"),
+                      "--model-config", str(_write_model_config(tmp_path)),
+                      "--out", str(tmp_path / "run"))
+    assert done.returncode == 1
+    assert re.fullmatch(r"error: fft step \d+: non-finite [^\n]*\n", done.stderr), done.stderr
 
 
 def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
@@ -624,6 +694,10 @@ BAD_MODEL_CONFIGS = [
     ({**MODEL_CONFIG, "n_heads": "4"}, "model config 'n_heads' must be an integer"),
     ({**MODEL_CONFIG, "vocab_size": 64.0}, "model config 'vocab_size' must be an integer"),
     ({**MODEL_CONFIG, "n_heads": 0}, "n_heads must be >= 1"),
+    # 617 d + 16 d^2 parameters for d_model d, far past the ceiling
+    ({**MODEL_CONFIG, "d_model": 10**13},
+     f"model config has {617 * 10**13 + 16 * 10**26:,} parameters, more than "
+     "the ceiling of 100,000,000"),
     ([4, 32], "model config must be an object"),
 ]
 
@@ -779,6 +853,26 @@ def test_bad_token_sample_line_is_a_domain_error(tmp_path, capsys, command, line
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
     assert f"{data} line {1 if first else 3}" in err, err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["samples", "records"])
+def test_a_sample_longer_than_the_model_names_the_file_line_and_limit(
+        tmp_path, capsys, command, kind):
+    # 33 tokens each, one more than MODEL_CONFIG's max_seq_len
+    long = {"samples": json.dumps({"prompt": [2] * 30, "response": [6] * 3}),
+            "records": _record(" ".join(["t1"] * 30), "t2")}[kind]
+    short = {"samples": json.dumps({"prompt": [2, 5, 1], "response": [6, 7]}),
+             "records": _record("t1 t2", "t3 t4")}[kind]
+    data = tmp_path / "data.jsonl"
+    data.write_text("\n".join([short, "", long, long]) + "\n", encoding="utf-8")
+    argv = {"train": ["train", "--mode", "fft", "--out", str(tmp_path / "run"),
+                      "--model-config", str(_write_model_config(tmp_path))],
+            "eval": ["eval", "--checkpoint", str(_checkpoint(tmp_path))]}[command]
+    assert main(argv + ["--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {data} line 3: the sample's 33 tokens exceed "
+                   "the model's max_seq_len of 32\n"), err
 
 
 def _record(src_line, tgt_line):
@@ -937,6 +1031,16 @@ def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value
                  "--data", str(tmp_path / "synth"), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{flag} must be at least 1" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task, flag, value", [
+    ("general", "--max-step", "-1"), ("general", "--max-step", "0"),
+    ("general", "--gen-max-len", "0"), ("general", "--n", "0"), ("translation", "--n", "-2")])
+def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value):
+    out = tmp_path / "synth"
+    assert main(["make-synth", "--task", task, "--out", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be at least 1, not {value}\n"
     assert not out.exists()
 
 

@@ -27,7 +27,7 @@ from forge.tinylm import (
     save_checkpoint,
 )
 
-from helpers import params_digest
+from helpers import params_digest, run_python
 
 CFG = ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=16, init_seed=7)
@@ -344,6 +344,22 @@ def test_checkpoint_blob_is_flat_f32_in_path_order(tmp_path):
         assert blob[offset:offset + len(expected)] == expected, (layer, name)
         offset += len(expected)
     assert offset == len(blob)
+
+
+@pytest.mark.parametrize("call", ["tinylm.init(config)",
+                                  "tinylm.load_checkpoint(sys.argv[1])"])
+def test_building_or_loading_a_model_imports_scipy(tmp_path, call):
+    # a row worker forked after init or load_checkpoint inherits scipy and
+    # does not import it itself; importing tinylm alone does not load it
+    save_checkpoint(init(CFG), tmp_path)
+    code = ("import sys\n"
+            "from forge import tinylm\n"
+            f"config = tinylm.ModelConfig(**{CFG.__dict__!r})\n"
+            "before = 'scipy' in sys.modules\n"
+            f"{call}\n"
+            "print(before, 'scipy.special' in sys.modules)\n")
+    done = run_python(code, str(tmp_path))
+    assert (done.returncode, done.stdout) == (0, "False True\n"), done.stderr
 
 
 def test_batch_validation():

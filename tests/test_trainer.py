@@ -323,6 +323,14 @@ def test_non_finite_frozen_gradient_is_ignored(monkeypatch):
     assert all(np.isfinite(result.params[key]).all() for key in result.params.keys())
 
 
+def test_a_last_update_that_overflows_fails_the_stage():
+    # the update of the stage's one step overflows float32, and no later
+    # step's loss would show it
+    with pytest.raises(NonFiniteInput, match=r"layer2 step 0: the update made \(2, 'attn_gain'\)"):
+        run(init(CFG), _small_batches(n=4), TrainMode.single_layer(2),
+            TrainConfig(lr_max=1e300, lr_min=0, warmup_ratio=0, epochs=1, batch_size=4))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
