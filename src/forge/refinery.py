@@ -54,6 +54,12 @@ class RefineryConfig:
     char_split_langs: tuple[str, ...] = tuple(sorted(CHARACTER_SPLIT_LANGS))
 
     def __post_init__(self):
+        if self.min_tokens < 1:
+            raise ValueError("min_tokens must be >= 1")
+        if self.max_conflicts < 0:
+            raise ValueError("max_conflicts must be >= 0")
+        if not 0 <= self.langid_min_prob <= 1:  # NaN too
+            raise ValueError("langid_min_prob must be in [0, 1]")
         if not 0 < self.min_len_ratio <= 1:
             raise ValueError("min_len_ratio must be in (0, 1]")
         if self.simhash_bits != 64:

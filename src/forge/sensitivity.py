@@ -87,8 +87,11 @@ def _row_norms_after_jacobi(r: np.ndarray) -> np.ndarray:
             active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
             if active.any():
                 rotated = True
-                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma),
-                                 where=active)
+                # a tiny gamma may overflow zeta to inf; t is then 0, the
+                # correct limit of the rotation
+                with np.errstate(over="ignore"):
+                    zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma),
+                                     where=active)
                 t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
                 t[~active] = 0.0
                 c = 1.0 / np.sqrt(1.0 + t * t)
@@ -166,12 +169,15 @@ def layer_gradient_report(params: ModelParams, batches: list[Batch],
     keys = [(layer, name) for layer in range(config.n_layers)
             for name in ("W_Q", "W_K", "W_V")]
     total = None
-    for batch in batches:
-        _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
-        stack = np.stack([grads[key] for key in keys])
-        term = stack if accumulate else nuclear_norms(stack)
-        total = term if total is None else total + term
-    values = nuclear_norms(total) if accumulate else total / len(batches)
+    # a non-finite gradient ends in NonFiniteInput from nuclear_norms, so
+    # numpy need not warn of it as well
+    with np.errstate(all="ignore"):
+        for batch in batches:
+            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
+            stack = np.stack([grads[key] for key in keys])
+            term = stack if accumulate else nuclear_norms(stack)
+            total = term if total is None else total + term
+        values = nuclear_norms(total) if accumulate else total / len(batches)
     norms = dict(zip(keys, values.tolist()))
     report = GradientReport(
         probe=ProbeSpec(dataset_id=dataset_id, batch_count=len(batches), seed=seed))

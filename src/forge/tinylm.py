@@ -473,6 +473,18 @@ def greedy_decode(params: ModelParams, prompt_ids: list[int], n_tokens: int) -> 
 # ---------------------------------------------------------------------------
 # Checkpoint format: manifest.json + flat little-endian float32 blob
 
+def _layout(config: ModelConfig) -> list[dict]:
+    """The manifest's tensor table: one entry per param_paths entry, in
+    that order, packed end to end in params.bin as little-endian float32."""
+    table, offset = [], 0
+    for layer, name, shape in param_paths(config):
+        length = 4 * math.prod(shape)
+        table.append({"layer": layer, "name": name, "shape": list(shape),
+                      "offset": offset, "length": length})
+        offset += length
+    return table
+
+
 def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
     """Write params to out_dir as params.bin and manifest.json. Both are
     written under temporary names in out_dir, then renamed over the old
@@ -482,17 +494,10 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
     the renames leaves a checkpoint that does not load."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
-    for layer, name, shape in param_paths(params.config):
-        data = np.ascontiguousarray(params[(layer, name)], dtype="<f4").tobytes()
-        entries.append({"layer": layer, "name": name, "shape": list(shape),
-                        "offset": offset, "length": len(data)})
-        offset += len(data)
-        blobs.append(data)
-    blob = b"".join(blobs)
-    manifest = {"config": json.loads(params.config.to_json()), "tensors": entries,
+    table = _layout(params.config)
+    blob = b"".join(np.ascontiguousarray(params[(e["layer"], e["name"])], dtype="<f4").tobytes()
+                    for e in table)
+    manifest = {"config": json.loads(params.config.to_json()), "tensors": table,
                 "params_sha256": hashlib.sha256(blob).hexdigest()}
     staged = {name: out_dir / f"{name}.tmp" for name in ("params.bin", "manifest.json")}
     try:
@@ -505,67 +510,42 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
             path.unlink(missing_ok=True)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _tensor_entry(entry, what: str) -> tuple[ParamKey, list[int], int, int]:
-    """(key, shape, offset, length) of one manifest tensor entry, each
-    field present and of its type."""
-    if not isinstance(entry, dict):
-        raise ForgeError(f"{what} must be an object, not {entry!r}")
-    for field in ("layer", "name", "shape", "offset", "length"):
-        if field not in entry:
-            raise ForgeError(f"{what}: missing {field!r}")
-    layer, name, shape = entry["layer"], entry["name"], entry["shape"]
-    if not (layer is None or _is_count(layer)) or not isinstance(name, str):
-        raise ForgeError(f"{what}: 'layer' must be an integer or null and 'name' a string, "
-                         f"not {layer!r} and {name!r}")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
-        raise ForgeError(f"{what}: 'shape' must be a list of integers, not {shape!r}")
-    for field in ("offset", "length"):
-        if not _is_count(entry[field]):
-            raise ForgeError(f"{what}: {field!r} must be a non-negative integer, "
-                             f"not {entry[field]!r}")
-    return (layer, name), shape, entry["offset"], entry["length"]
-
-
 def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
-    """Read a checkpoint. params.bin must match the manifest's sha256
-    when it has one (manifests written before the hash have none). Every
-    tensor entry of the manifest is checked: its fields, its place in
-    params.bin, its byte length against its shape, and its key and shape
-    against the model config; each tensor of the config appears exactly
-    once."""
+    """Read a checkpoint that save_checkpoint wrote. The manifest's tensor
+    table must be the layout of its model config, entry for entry and
+    type for type; params.bin must match the manifest's sha256 when it
+    has one (manifests written before the hash have none), hold exactly
+    the table's bytes, and every value must be finite."""
     _erf()
     path = Path(in_dir) / "manifest.json"
     manifest = read_object(read_json(path), {"tensors": list, ...: object}, str(path),
                            ("config", "tensors"))
     config = ModelConfig.from_dict(manifest["config"], f"{path} 'config'")
-    table = manifest["tensors"]
-    expected = {(layer, name): shape for layer, name, shape in param_paths(config)}
+    table, layout = manifest["tensors"], _layout(config)
+    # canonical JSON, not ==, which takes 4096.0 for 4096 and true for 1
+    for i, (entry, laid_out) in enumerate(zip(table, layout)):
+        got, want = json.dumps(entry, sort_keys=True), json.dumps(laid_out, sort_keys=True)
+        if got != want:
+            raise ForgeError(f"{path} tensor entry {i} is {got}, not the model config's {want}")
+    if len(table) != len(layout):
+        raise ForgeError(f"{path}: {len(table)} tensor entries, not the model config's "
+                         f"{len(layout)}")
     blob = (path.parent / "params.bin").read_bytes()
     if "params_sha256" in manifest and (
             manifest["params_sha256"] != hashlib.sha256(blob).hexdigest()):
         raise ForgeError(f"{path}: params.bin does not match the manifest's 'params_sha256'; "
                          "the checkpoint was changed or its save was interrupted")
+    size = layout[-1]["offset"] + layout[-1]["length"]
+    if len(blob) != size:
+        raise ForgeError(f"{path}: params.bin holds {len(blob)} bytes, not the tensor "
+                         f"table's {size}")
+    flat = np.frombuffer(blob, dtype="<f4")
     tensors: dict[ParamKey, np.ndarray] = {}
-    for i, entry in enumerate(table):
-        key, shape, offset, length = _tensor_entry(entry, f"{path} tensor entry {i}")
-        what = f"{path} tensor entry {i} {key}"
-        if key in tensors:
-            raise ForgeError(f"{what}: duplicate tensor")
-        if expected.get(key) != tuple(shape):
-            raise ForgeError(f"{what}: shape {shape} is not a tensor of the model config")
-        if length != 4 * math.prod(shape):
-            raise ForgeError(f"{what}: length {length} is not 4 bytes times shape {shape}")
-        if offset + length > len(blob):
-            raise ForgeError(f"{what}: bytes {offset}..{offset + length} lie beyond "
-                             f"params.bin ({len(blob)} bytes)")
-        raw = blob[offset:offset + length]
-        tensors[key] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(dtype)
-    missing = [key for key in expected if key not in tensors]
-    if missing:
-        raise ForgeError(f"{path}: no tensor entry for {missing[0]}")
+    for e in layout:
+        key, start = (e["layer"], e["name"]), e["offset"] // 4
+        values = flat[start:start + e["length"] // 4]
+        if not np.isfinite(values).all():
+            raise ForgeError(f"{path.parent / 'params.bin'}: tensor {key} holds a "
+                             "non-finite value")
+        tensors[key] = values.reshape(e["shape"]).astype(dtype)
     return ModelParams(config, tensors)
-

@@ -648,6 +648,9 @@ def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
     ("global", {"refinery": {"hamming_radius": 2.0}}, "'hamming_radius' must be an integer"),
     ("global", [1], "config file must be an object"),
     ("global", {"refinary": {"min_tokens": 100}}, "unknown config file key 'refinary'"),
+    ("refine", {"min_tokens": 0}, "min_tokens must be >= 1"),
+    ("refine", {"max_conflicts": -1}, "max_conflicts must be >= 0"),
+    ("refine", {"langid_min_prob": float("nan")}, "langid_min_prob must be in [0, 1]"),
 ])
 def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content, message):
     config = tmp_path / "config.json"
@@ -741,38 +744,76 @@ def test_bad_checkpoint_manifest_config_is_a_domain_error(tmp_path, capsys, bad,
 
 
 def _drop(field):
-    def edit(tensors):
-        del tensors[0][field]
+    def edit(manifest, ckpt):
+        del manifest["tensors"][0][field]
     return edit
 
 
 def _set(index, field, value):
-    def edit(tensors):
-        tensors[index][field] = value(tensors[index]) if callable(value) else value
+    def edit(manifest, ckpt):
+        entry = manifest["tensors"][index]
+        entry[field] = value(entry) if callable(value) else value
     return edit
 
 
+def _swap_w_q_and_w_k(manifest, ckpt):
+    tensors = manifest["tensors"]
+    tensors[3], tensors[4] = tensors[4], tensors[3]
+    tensors[3]["offset"], tensors[4]["offset"] = tensors[4]["offset"], tensors[3]["offset"]
+
+
+def _truncate_unhashed(manifest, ckpt):
+    del manifest["params_sha256"]
+    blob = ckpt / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-4])
+
+
+# each entry of the table is shown as canonical JSON, keys sorted; the
+# model config lays out 35 tensors in 144,512 bytes, W_Q of block 0 at
+# entry 3
 @pytest.mark.parametrize("edit, message", [
-    (_drop("offset"), "tensor entry 0: missing 'offset'"),
-    (_drop("length"), "tensor entry 0: missing 'length'"),
-    (_drop("layer"), "tensor entry 0: missing 'layer'"),
-    (_drop("name"), "tensor entry 0: missing 'name'"),
-    (_drop("shape"), "tensor entry 0: missing 'shape'"),
-    (_set(0, "offset", "0"), "tensor entry 0: 'offset' must be a non-negative integer"),
-    (_set(1, "offset", -4), "tensor entry 1: 'offset' must be a non-negative integer"),
-    (_set(1, "length", 8192.0), "tensor entry 1: 'length' must be a non-negative integer"),
-    (_set(3, "layer", "0"), "tensor entry 3: 'layer' must be an integer or null"),
-    (_set(3, "name", 7), "tensor entry 3: 'layer' must be an integer or null and 'name'"),
-    (_set(3, "shape", [32, "32"]), "tensor entry 3: 'shape' must be a list of integers"),
-    (_set(3, "shape", 1024), "tensor entry 3: 'shape' must be a list of integers"),
-    (_set(-1, "offset", lambda e: e["offset"] + 4), "beyond params.bin"),
-    (_set(3, "length", lambda e: e["length"] - 4), "is not 4 bytes times shape"),
-    (_set(3, "shape", [16, 64]), "tensor entry 3 (0, 'W_Q'): shape [16, 64] is not a tensor"),
-    (_set(3, "name", "W_Z"), "tensor entry 3 (0, 'W_Z'): shape [32, 32] is not a tensor"),
-    (lambda tensors: tensors.append(dict(tensors[3])), "(0, 'W_Q'): duplicate tensor"),
-    (lambda tensors: tensors.pop(3), "no tensor entry for (0, 'W_Q')"),
-    (lambda tensors: tensors.__setitem__(0, [1, 2]), "tensor entry 0 must be an object"),
-])
+    (_drop("offset"), 'tensor entry 0 is {"layer": null, "length": 8192, "name": "tok_emb", '
+                      '"shape": [64, 32]}, not the model config\'s'),
+    (_drop("length"), 'tensor entry 0 is {"layer": null, "name": "tok_emb", "offset": 0,'),
+    (_drop("layer"), 'tensor entry 0 is {"length": 8192, "name": "tok_emb",'),
+    (_drop("name"), 'tensor entry 0 is {"layer": null, "length": 8192, "offset": 0,'),
+    (_drop("shape"), 'tensor entry 0 is {"layer": null, "length": 8192, "name": "tok_emb", '
+                     '"offset": 0}, not'),
+    (_set(0, "offset", "0"), 'tensor entry 0 is {"layer": null, "length": 8192, '
+                             '"name": "tok_emb", "offset": "0",'),
+    (_set(1, "offset", -4), 'tensor entry 1 is {"layer": null, "length": 4096, '
+                            '"name": "pos_emb", "offset": -4,'),
+    (_set(1, "length", 8192.0), 'tensor entry 1 is {"layer": null, "length": 8192.0,'),
+    (_set(1, "length", 4096.0), 'tensor entry 1 is {"layer": null, "length": 4096.0,'),
+    (_set(3, "layer", "0"), 'tensor entry 3 is {"layer": "0",'),
+    (_set(10, "layer", True), 'tensor entry 10 is {"layer": true,'),
+    (_set(3, "name", 7), 'tensor entry 3 is {"layer": 0, "length": 4096, "name": 7,'),
+    (_set(3, "shape", [32, "32"]), 'tensor entry 3 is {"layer": 0, "length": 4096, '
+                                   '"name": "W_Q", "offset": 12416, "shape": [32, "32"]}'),
+    (_set(3, "shape", 1024), 'tensor entry 3 is {"layer": 0, "length": 4096, '
+                             '"name": "W_Q", "offset": 12416, "shape": 1024}'),
+    (_set(-1, "offset", lambda e: e["offset"] + 4),
+     'tensor entry 34 is {"layer": null, "length": 128, "name": "final_gain", '
+     '"offset": 144388,'),
+    (_set(3, "length", lambda e: e["length"] - 4), 'tensor entry 3 is {"layer": 0, '
+                                                   '"length": 4092,'),
+    (_set(3, "shape", [16, 64]), 'tensor entry 3 is {"layer": 0, "length": 4096, '
+                                 '"name": "W_Q", "offset": 12416, "shape": [16, 64]}'),
+    (_set(3, "name", "W_Z"), 'tensor entry 3 is {"layer": 0, "length": 4096, "name": "W_Z",'),
+    (_swap_w_q_and_w_k, 'tensor entry 3 is {"layer": 0, "length": 4096, "name": "W_K", '
+                        '"offset": 12416,'),
+    (lambda manifest, ckpt: manifest["tensors"].append(dict(manifest["tensors"][3])),
+     "36 tensor entries, not the model config's 35"),
+    (lambda manifest, ckpt: manifest["tensors"].pop(3),
+     'tensor entry 3 is {"layer": 0, "length": 4096, "name": "W_K", "offset": 16512,'),
+    (lambda manifest, ckpt: manifest["tensors"].__setitem__(0, [1, 2]),
+     "tensor entry 0 is [1, 2], not the model config's"),
+    (_truncate_unhashed, "params.bin holds 144508 bytes, not the tensor table's 144512"),
+], ids=["no-offset", "no-length", "no-layer", "no-name", "no-shape", "offset-string",
+        "offset-negative", "length-float", "length-float-equal", "layer-string", "layer-true",
+        "name-int", "shape-string", "shape-int", "offset-past-end", "length-short",
+        "shape-other", "name-other", "w_q-w_k-swapped", "duplicate", "missing", "entry-list",
+        "truncated-unhashed"])
 def test_bad_checkpoint_tensor_table_is_a_domain_error(tmp_path, capsys, edit, message):
     from forge import tinylm
 
@@ -780,11 +821,28 @@ def test_bad_checkpoint_tensor_table_is_a_domain_error(tmp_path, capsys, edit, m
     tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG)), ckpt)
     manifest = json.loads((ckpt / "manifest.json").read_text())
     assert manifest["tensors"][3]["name"] == "W_Q" and manifest["tensors"][3]["layer"] == 0
-    edit(manifest["tensors"])
+    edit(manifest, ckpt)
     (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "manifest.json" in err, err
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze-gradients"])
+def test_checkpoint_with_a_non_finite_value_is_a_domain_error(tmp_path, capsys, command):
+    from forge import tinylm
+
+    params = tinylm.init(tinylm.ModelConfig(**MODEL_CONFIG))
+    params[(1, "W_1")][2, 3] = float("nan")
+    ckpt = tmp_path / "ckpt"
+    tinylm.save_checkpoint(params, ckpt)
+    argv = [command, "--checkpoint", str(ckpt), "--data", "d"]
+    if command == "analyze-gradients":
+        argv += ["--out", str(tmp_path / "report.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {ckpt / 'params.bin'}: tensor (1, 'W_1') holds a "
+                   "non-finite value\n"), err
 
 
 @pytest.mark.parametrize("tensors", [None, {"0": {}}])

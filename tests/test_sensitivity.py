@@ -21,6 +21,10 @@ from forge.tinylm import Batch, ModelConfig, init, loss_and_backward
 
 from helpers import params_digest, svd_nuclear_norm
 
+# a numpy warning is a fault here: the report and the norms expect their
+# overflows and non-finite values and say so without one
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CFG = ModelConfig(n_layers=3, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=16, init_seed=5)
 
@@ -113,6 +117,14 @@ def test_absolute_homogeneity(m, c):
     base = nuclear_norm(m)
     scaled = nuclear_norm(c * m)
     assert abs(scaled - abs(c) * base) <= 1e-9 * max(abs(c) * base, 1.0)
+
+
+def test_jacobi_rotation_with_overflowing_zeta_is_the_identity():
+    # the rows' inner product 1e-310 is active yet makes zeta overflow to
+    # -inf; the rotation is then the identity, and numpy does not warn
+    from forge.sensitivity import _row_norms_after_jacobi
+    r = np.array([[[1.0, 0.0], [1e-310, 0.0]]])
+    np.testing.assert_array_equal(_row_norms_after_jacobi(r), [[1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
