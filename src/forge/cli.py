@@ -31,32 +31,37 @@ def _load_records(path: str) -> list[ParallelRecord]:
         raise ForgeError(f"{path}: {e}") from e
 
 
-def _global_defaults(args) -> dict:
-    """The --config file's sections; each is read where it is used."""
-    if not getattr(args, "config", None):
+def _read_config_file(path: str | None) -> dict:
+    """The configs of the --config file's sections by name, each
+    checked; a fault names the file."""
+    if not path:
         return {}
-    sections = dict.fromkeys(("model", "train", "refinery"), object)
-    return read_object(read_json(args.config), sections, "config file")
+    obj = read_json(path)
+    sections = {"model": tinylm.ModelConfig, "train": trainer.TrainConfig,
+                "refinery": refinery.RefineryConfig}
+    try:
+        read_object(obj, dict.fromkeys(sections, object), "config file")
+    except ForgeError as e:
+        raise ForgeError(f"{path}: {e}") from e
+    return {name: read_config(cls, obj[name], f"config {name!r}", f"{path} {name!r}")
+            for name, cls in sections.items() if name in obj}
 
 
-def _check_counts(*counts: tuple[str, int]) -> None:
-    """Each (flag, value) of counts must be at least 1."""
+def _check_counts(*counts: tuple[str, int], least: int = 1) -> None:
+    """Each (flag, value) of counts must be at least `least`."""
     for flag, value in counts:
-        if value < 1:
-            raise ForgeError(f"{flag} must be at least 1, not {value}")
+        if value < least:
+            raise ForgeError(f"{flag} must be at least {least}, not {value}")
 
 
 # ---------------------------------------------------------------------------
 # refine
 
 def cmd_refine(args) -> int:
-    defaults = _global_defaults(args)
+    config = args.configs.get("refinery", refinery.RefineryConfig())
     if args.pipeline_config:
         config = read_config(refinery.RefineryConfig, read_json(args.pipeline_config),
-                             "refinery config")
-    else:
-        config = read_config(refinery.RefineryConfig, defaults.get("refinery", {}),
-                             "config 'refinery'")
+                             "refinery config", args.pipeline_config)
     if args.strict:
         config.strict = True
 
@@ -105,9 +110,10 @@ def cmd_refine(args) -> int:
 def cmd_make_synth(args) -> int:
     _check_counts(("--n", args.n), ("--gen-max-len", args.gen_max_len),
                   ("--max-step", args.max_step))
+    seed = args.seed if args.seed is not None else 0
+    _check_counts(("--seed", seed), ("--perm-seed", args.perm_seed), least=0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
     if args.task == "translation":
         spec = synth.SynthLangSpec(
             vocab_size=args.vocab_size, perm_seed=args.perm_seed,
@@ -153,14 +159,13 @@ def _eval_sets(paths: dict[str, str], model: tinylm.ModelConfig) -> dict[str, sy
 
 
 def _load_model(args) -> tinylm.ModelParams:
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         return tinylm.load_checkpoint(args.checkpoint)
-    defaults = _global_defaults(args)
-    if getattr(args, "model_config", None):
-        cfg = tinylm.ModelConfig.from_dict(read_json(args.model_config), args.model_config)
-    elif "model" in defaults:
-        cfg = tinylm.ModelConfig.from_dict(defaults["model"], f"{args.config} 'model'")
-    else:
+    cfg = args.configs.get("model")
+    if args.model_config:
+        cfg = read_config(tinylm.ModelConfig, read_json(args.model_config), "model config",
+                          args.model_config)
+    if cfg is None:
         raise ForgeError("need --model-config or --checkpoint")
     return tinylm.init(cfg)
 
@@ -168,44 +173,57 @@ def _load_model(args) -> tinylm.ModelParams:
 def _train_config(args) -> trainer.TrainConfig:
     """The --config file's train section with the command-line options
     over it; both are checked by TrainConfig, the file's keys first."""
-    config = read_config(trainer.TrainConfig, _global_defaults(args).get("train", {}),
-                         "config 'train'")
+    config = args.configs.get("train", trainer.TrainConfig())
     options = {name: getattr(args, name, None) for name in (
         "lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
-def parse_mode(mode: str, n_layers: int, k: int = 0, m: int = 0, skip=(),
-               layer: int | None = None) -> trainer.TrainMode:
-    """The one reader of a training mode, for `train --mode` and for
-    `compare` rows: two-stage | single-stage (with k, m and skip), fft, or
-    single-layer (layer given apart or as single-layer:<l>). Every layer
-    index is checked against n_layers here, before any training."""
-    if mode.startswith("single-layer:"):
-        mode, layer = "single-layer", int(mode.split(":", 1)[1])
-    if mode == "single-layer":
-        if layer is None:
+# The keys each training mode takes besides "mode", and their kinds
+_SELECTION_KINDS = {"k": int, "m": int, "skip": list[int]}
+MODE_KINDS = {"two-stage": _SELECTION_KINDS, "single-stage": _SELECTION_KINDS,
+              "fft": {}, "single-layer": {"layer": int}}
+
+
+def read_mode(obj: dict, n_layers: int, source: str) -> trainer.TrainMode:
+    """The one reader of a training mode, of `train --mode` and its flags
+    and of a `compare` row: {"mode": name} and only that mode's keys of
+    MODE_KINDS. It checks every layer index against n_layers and refuses
+    a mode that trains no tensor; a fault is a ForgeError naming source."""
+    try:
+        name = obj.get("mode")
+        if not isinstance(name, str) or name not in MODE_KINDS:
+            raise ForgeError(f"unknown mode {name!r}")
+        read_object(obj, {"mode": str} | MODE_KINDS[name], f"{name} mode")
+        if name == "single-layer" and "layer" not in obj:
             raise ForgeError("single-layer needs a layer")
-        result = trainer.TrainMode.single_layer(layer)
-    elif mode == "fft":
-        result = trainer.TrainMode.full_finetune()
-    elif mode in ("two-stage", "single-stage"):
-        selection = trainer.select_layers(n_layers, k, m, skip)
-        result = (trainer.TrainMode.two_stage(selection) if mode == "two-stage"
-                  else trainer.TrainMode.single_stage(selection))
-    else:
-        raise ForgeError(f"unknown mode {mode!r}")
-    trainer.stage_plan(result, n_layers)
-    return result
+        selection = None
+        if MODE_KINDS[name] is _SELECTION_KINDS:
+            selection = trainer.select_layers(n_layers, obj.get("k", 0), obj.get("m", 0),
+                                              obj.get("skip", ()))
+        mode = trainer.TrainMode(name, selection, obj.get("layer"))
+        if not any(keys for _, keys in trainer.stage_plan(mode, n_layers)):
+            raise ForgeError(f"{name} mode trains no tensor")
+        return mode
+    except ForgeError as e:
+        raise ForgeError(f"{source}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
 # train
 
 def cmd_train(args) -> int:
-    params = _load_model(args)
     config = _train_config(args)
-    mode = parse_mode(args.mode, params.config.n_layers, args.k, args.m, args.skip or ())
+    params = _load_model(args)
+    # the mode object of --mode and of the --k, --m and --skip given; the
+    # <l> of single-layer:<l> is left to read_mode to refuse if not an integer
+    flags = {key: getattr(args, key) for key in ("mode", "k", "m", "skip")
+             if getattr(args, key) is not None}
+    if args.mode.startswith("single-layer:"):
+        flags["mode"], flags["layer"] = "single-layer", args.mode.split(":", 1)[1]
+        with contextlib.suppress(ValueError):
+            flags["layer"] = int(flags["layer"])
+    mode = read_mode(flags, params.config.n_layers, f"--mode {args.mode}")
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, config.batch_size)
 
@@ -260,8 +278,8 @@ def _workers(args) -> int:
 
 def cmd_sweep(args) -> int:
     workers = _workers(args)
-    params = _load_model(args)
     config = _train_config(args)
+    params = _load_model(args)
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, config.batch_size)
 
@@ -317,45 +335,34 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-# The kinds of the values of an experiment spec, of its pretrain block
-# and of its rows: every row takes the common keys, and each mode its
-# own. A value of kind object is checked where it is read.
+# The kinds of the values of an experiment spec and of its pretrain
+# block. A value of kind object is checked where it is read.
 SPEC_REQUIRED = ("model_config", "train_data", "eval_sets", "rows")
 SPEC_KINDS = {"model_config": str, "train_data": str, "eval_sets": dict, "rows": list,
               "start_checkpoint": str | None, "pretrain": dict | None, "seed": int,
               "out_dir": str}
 PRETRAIN_KINDS = {"data": str, "config": object}
-ROW_KINDS = {"label": object, "mode": object, "train": object}
-_SELECTION_KINDS = {"k": int, "m": int, "skip": list[int]}
-MODE_KINDS = {"two-stage": _SELECTION_KINDS, "single-stage": _SELECTION_KINDS,
-              "fft": {}, "single-layer": {"layer": int}}
 
 
-def _compare_plan(spec: dict, n_layers: int) -> list[tuple[dict, trainer.TrainMode,
-                                                            trainer.TrainConfig]]:
-    """Check every row of the spec, and resolve each row's mode and train
-    config, so that a bad row fails before anything trains. A row without
-    a train seed of its own takes the spec's."""
-    labels = []
+def _compare_plan(spec: dict, source: str, n_layers: int
+                  ) -> list[tuple[dict, trainer.TrainMode, trainer.TrainConfig]]:
+    """Check every row of the spec read from source, and resolve each
+    row's mode and train config, so that a bad row fails before anything
+    trains. A row is a unique label, an optional train object and a mode
+    object; a row without a train seed of its own takes the spec's."""
+    plan = []
     for row in spec["rows"]:
         if not isinstance(row, dict) or not isinstance(row.get("label"), str):
             raise ForgeError(f"every row needs a label: {row!r}")
-        labels.append(row["label"])
-    if len(set(labels)) != len(labels):
-        raise ForgeError("row labels must be unique")
-    plan = []
-    for row in spec["rows"]:
-        try:
-            if not isinstance(row.get("mode"), str) or row["mode"] not in MODE_KINDS:
-                raise ForgeError(f"unknown mode {row.get('mode')!r}")
-            read_object(row, ROW_KINDS | MODE_KINDS[row["mode"]], "row")
-            mode = parse_mode(row["mode"], n_layers, row.get("k", 0), row.get("m", 0),
-                              row.get("skip", ()), row.get("layer"))
-            cfg = read_config(trainer.TrainConfig, row.get("train", {}), "train")
-        except (ForgeError, ValueError) as e:
-            raise ForgeError(f"row {row['label']!r}: {e}") from e
+        if any(row["label"] == planned["label"] for planned, _, _ in plan):
+            raise ForgeError("row labels must be unique")
+        where = f"row {row['label']!r}"
+        mode = read_mode({k: v for k, v in row.items() if k not in ("label", "train")},
+                         n_layers, where)
+        cfg = read_config(trainer.TrainConfig, row.get("train", {}), "train",
+                          f"{source} {where}")
         if "seed" not in row.get("train", {}):
-            cfg.seed = spec.get("seed", 0)
+            cfg = dataclasses.replace(cfg, seed=spec.get("seed", 0))
         plan.append((row, mode, cfg))
     return plan
 
@@ -377,10 +384,11 @@ def cmd_compare(args) -> int:
     pre = spec.get("pretrain")
     if pre is not None:
         read_object(pre, PRETRAIN_KINDS, "pretrain", ("data",))
-        pre_cfg = read_config(trainer.TrainConfig, pre.get("config", {}), "pretrain config")
-    model_config = tinylm.ModelConfig.from_dict(read_json(spec["model_config"]),
-                                                spec["model_config"])
-    plan = _compare_plan(spec, model_config.n_layers)
+        pre_cfg = read_config(trainer.TrainConfig, pre.get("config", {}), "pretrain config",
+                              f"{args.spec} 'pretrain'")
+    model_config = read_config(tinylm.ModelConfig, read_json(spec["model_config"]),
+                               "model config", spec["model_config"])
+    plan = _compare_plan(spec, args.spec, model_config.n_layers)
 
     out = Path(args.out or spec["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -495,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common, training], help="train a model")
     p.add_argument("--mode", required=True,
                    help="two-stage | single-stage | fft | single-layer:<l>")
-    p.add_argument("--k", type=int, default=0, help="bottom-k layers (stage 1)")
-    p.add_argument("--m", type=int, default=0, help="top-m layers (stage 2)")
+    p.add_argument("--k", type=int, default=None, help="bottom-k layers (stage 1)")
+    p.add_argument("--m", type=int, default=None, help="top-m layers (stage 2)")
     p.add_argument("--skip", type=int, action="append",
                    help="layer index excluded from tuning (repeatable)")
     p.add_argument("--data", required=True)
@@ -547,6 +555,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.configs = _read_config_file(args.config)
         return args.func(args)
     except (ForgeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

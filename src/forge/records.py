@@ -172,14 +172,18 @@ def read_object(obj, kinds: dict, what: str, required=()) -> dict:
     return obj
 
 
-def read_config(cls, obj, what: str):
+def read_config(cls, obj, what: str, source: str):
     """A `cls` config dataclass from a JSON object that read_object
     checks against the field types; a field with no default is
-    required."""
+    required. A fault, in a key or in a value `cls` refuses, is a
+    ForgeError naming `source`, the file and section obj was read from."""
     fields, hints = dataclasses.fields(cls), get_type_hints(cls)
-    read_object(obj, {f.name: hints[f.name] for f in fields}, what,
-                [f.name for f in fields if f.default is dataclasses.MISSING])
-    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()})
+    try:
+        read_object(obj, {f.name: hints[f.name] for f in fields}, what,
+                    [f.name for f in fields if f.default is dataclasses.MISSING])
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in obj.items()})
+    except (ForgeError, ValueError) as e:
+        raise ForgeError(f"{source}: {e}") from e
 
 
 def record_from_object(obj: Any, line_no: int) -> ParallelRecord:

@@ -58,6 +58,8 @@ class ModelConfig:
         for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, not {self.init_seed}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.param_count > MAX_PARAMS:
@@ -75,20 +77,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, obj, source: str) -> "ModelConfig":
-        """The checked reader of a model config read from source (a config
-        file, an experiment spec's model file, a checkpoint manifest): an
-        object with an integer for every field that has no default, an
-        optional integer init_seed, and no other key."""
-        try:
-            return read_config(cls, obj, "model config")
-        except (ForgeError, ValueError) as e:
-            raise ForgeError(f"{source}: {e}") from e
 
 
 def _tensor_shapes(config: ModelConfig) -> tuple[dict[str, tuple[int, ...]],
@@ -497,7 +485,7 @@ def save_checkpoint(params: ModelParams, out_dir: str | Path) -> None:
     table = _layout(params.config)
     blob = b"".join(np.ascontiguousarray(params[(e["layer"], e["name"])], dtype="<f4").tobytes()
                     for e in table)
-    manifest = {"config": json.loads(params.config.to_json()), "tensors": table,
+    manifest = {"config": dict(sorted(vars(params.config).items())), "tensors": table,
                 "params_sha256": hashlib.sha256(blob).hexdigest()}
     staged = {name: out_dir / f"{name}.tmp" for name in ("params.bin", "manifest.json")}
     try:
@@ -520,7 +508,7 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
     path = Path(in_dir) / "manifest.json"
     manifest = read_object(read_json(path), {"tensors": list, ...: object}, str(path),
                            ("config", "tensors"))
-    config = ModelConfig.from_dict(manifest["config"], f"{path} 'config'")
+    config = read_config(ModelConfig, manifest["config"], "model config", f"{path} 'config'")
     table, layout = manifest["tensors"], _layout(config)
     # canonical JSON, not ==, which takes 4096.0 for 4096 and true for 1
     for i, (entry, laid_out) in enumerate(zip(table, layout)):

@@ -87,9 +87,9 @@ class TrainConfig:
         for name in ("warmup_ratio", "beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
-        for name in ("epochs", "batch_size", "grad_accum"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("grad_accum", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
 
 
 def _is_finite(value: float) -> bool:
@@ -154,9 +154,7 @@ def stage_plan(mode: TrainMode, n_layers: int) -> list[tuple[str, set[ParamKey]]
         keys = resolve_layer_keys_for(set(range(n_layers)), n_layers)
         keys.update(global_keys())
         return [("fft", keys)]
-    if mode.kind == "single-layer":
-        return [(f"layer{mode.layer}", resolve_layer_keys_for({mode.layer}, n_layers))]
-    raise ValueError(f"unknown mode {mode.kind!r}")
+    return [(f"layer{mode.layer}", resolve_layer_keys_for({mode.layer}, n_layers))]
 
 
 def resolve_layer_keys_for(layers, n_layers: int) -> set[ParamKey]:

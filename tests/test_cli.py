@@ -397,7 +397,14 @@ def _compare_spec(tmp_path, last_row, **top_level):
     ({"label": "x", "mode": "single-layer", "layer": 9}, {}, "outside"),
     ({"label": "x", "mode": "two-stage", "k": 3, "m": 3}, {}, "overlap"),
     ({"label": "x", "mode": "two-stage", "k": "1", "m": 1}, {}, "'k' must be an integer"),
-    ({"label": "x", "mode": "fft", "k": 1}, {}, "unknown row key 'k'"),
+    ({"label": "x", "mode": "fft", "k": 1}, {}, "unknown fft mode key 'k'"),
+    ({"label": "x", "mode": "two-stage"}, {}, "two-stage mode trains no tensor"),
+    ({"label": "x", "mode": "single-stage", "k": 1, "m": 1, "skip": [0, 3]}, {},
+     "single-stage mode trains no tensor"),
+    ({"label": "x", "mode": "fft"}, {"seed": -1}, "seed must be >= 0, not -1"),
+    ({"label": "x", "mode": "fft", "train": {"seed": -2}}, {}, "seed must be >= 0, not -2"),
+    ({"label": "x", "mode": "fft"}, {"pretrain": {"data": "d", "config": {"seed": -3}}},
+     "'pretrain': seed must be >= 0, not -3"),
     ({"label": "x", "mode": "fft", "train": {"lr": 1e-3}}, {}, "unknown train key 'lr'"),
     ({"label": "x", "mode": "fft", "train": {"epochs": 0}}, {}, "epochs"),
     ({"mode": "fft"}, {}, "needs a label"),
@@ -420,6 +427,69 @@ def test_compare_rejects_a_bad_spec_before_any_training(
     assert err.startswith("error: ") and message in err, err
     assert "Traceback" not in err
     assert not (tmp_path / "cmp").exists()
+
+
+# Mode objects, each read as `train` flags and as a compare row of a
+# 4-layer model: None for a mode both read alike, else the reason both
+# refuse it
+MODES = [
+    ({"mode": "fft"}, None),
+    ({"mode": "fft", "k": 3}, "unknown fft mode key 'k'"),
+    ({"mode": "fft", "skip": [9]}, "unknown fft mode key 'skip'"),
+    ({"mode": "two-stage", "k": 1, "m": 2, "skip": [3]}, None),
+    ({"mode": "two-stage", "k": 1, "skip": [4]}, "skip index 4 outside 0..3"),
+    ({"mode": "two-stage", "k": 3, "m": 2}, "bottom-3 and top-2 overlap on layers [2]"),
+    ({"mode": "two-stage"}, "two-stage mode trains no tensor"),
+    ({"mode": "two-stage", "k": 1, "m": 1, "skip": [0, 3]},
+     "two-stage mode trains no tensor"),
+    ({"mode": "single-stage", "k": 2, "m": 0}, None),
+    ({"mode": "single-stage", "k": -1}, "k and m must be >= 0"),
+    ({"mode": "single-layer", "layer": 2}, None),
+    ({"mode": "single-layer", "layer": 2, "m": 1}, "unknown single-layer mode key 'm'"),
+    ({"mode": "single-layer", "layer": 4}, "layer 4 outside 0..3"),
+    ({"mode": "single-layer", "layer": "x"},
+     "single-layer mode 'layer' must be an integer, not 'x'"),
+    ({"mode": "single-layer"}, "single-layer needs a layer"),
+    ({"mode": "frobnicate"}, "unknown mode 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize("obj, reason", MODES, ids=lambda v: json.dumps(v))
+def test_train_flags_and_compare_rows_read_modes_alike(tmp_path, capsys, monkeypatch, obj,
+                                                       reason):
+    from forge import trainer
+
+    class Trains(Exception):
+        pass
+
+    def run(start, batches, mode, config, boundary=None):
+        raise Trains(mode)
+    monkeypatch.setattr(trainer, "run", run)
+    spec = json.loads(_compare_spec(tmp_path, {"label": "x", **obj}).read_text())
+    del spec["pretrain"]
+    spec["rows"] = spec["rows"][-1:]
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    mode = obj["mode"] + (f":{obj['layer']}" if "layer" in obj else "")
+    flags = ["--mode", mode] + [word for key in ("k", "m") if key in obj
+                                for word in (f"--{key}", str(obj[key]))]
+    flags += [word for layer in obj.get("skip", []) for word in ("--skip", str(layer))]
+    runs = {"train": (["train"] + flags + ["--data", str(tmp_path / "synth"),
+                                          "--model-config", str(tmp_path / "model.json"),
+                                          "--out", str(tmp_path / "run")],
+                      f"error: --mode {mode}: "),
+            "compare": (["compare", "--spec", str(tmp_path / "spec.json")], "error: row 'x': ")}
+    modes = []
+    for command, (argv, prefix) in runs.items():
+        if reason is None:
+            with pytest.raises(Trains) as trained:
+                main(argv)
+            modes.append(trained.value.args[0])
+        else:
+            assert main(argv) == 1, command
+            err = capsys.readouterr().err
+            assert err == prefix + reason + "\n", err
+            assert not (tmp_path / "run").exists() and not (tmp_path / "cmp").exists()
+    assert len(modes) == (0 if reason else 2) and len(set(modes)) <= 1, modes
 
 
 def test_compare_needs_the_spec_keys(tmp_path, capsys):
@@ -580,9 +650,9 @@ def test_training_flags_get_the_train_config_checks(
     assert err.startswith("error: ") and message in err, err
 
 
-# (key, value) pairs that TrainConfig rejects; the first five have flags
+# (key, value) pairs that TrainConfig rejects; the first six have flags
 BAD_TRAIN_VALUES = [("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max", -0.001),
-                    ("lr_min", float("nan")), ("lr_min", -1e-05),
+                    ("lr_min", float("nan")), ("lr_min", -1e-05), ("seed", -1),
                     ("lr_max", 10**400), ("beta1", 1.0), ("beta1", -0.5),
                     ("beta2", float("nan")), ("eps", 0.0), ("eps", float("inf")),
                     ("weight_decay", -0.01), ("weight_decay", float("nan"))]
@@ -590,7 +660,7 @@ BAD_TRAIN_VALUES = [("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_max
 
 @pytest.mark.parametrize("key, value, where", [
     (key, value, where) for i, (key, value) in enumerate(BAD_TRAIN_VALUES)
-    for where in (("flag", "config") if i < 5 else ("config",))], ids=lambda v: str(v)[:12])
+    for where in (("flag", "config") if i < 6 else ("config",))], ids=lambda v: str(v)[:12])
 def test_train_config_values_are_checked_before_any_data_loads(
         tmp_path, capsys, monkeypatch, key, value, where):
     from forge import cli
@@ -603,13 +673,15 @@ def test_train_config_values_are_checked_before_any_data_loads(
             "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]
     if where == "flag":
         argv.append(f"--{key.replace('_', '-')}={value!r}")
+        source = ""
     else:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
         argv = ["--config", str(config)] + argv
+        source = f"{config} 'train': "
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {source}{key} must be ") and err.count("\n") == 1, err
     assert err.endswith(f", not {value!r}\n"), err
 
 
@@ -633,7 +705,7 @@ def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
     config.write_text(json.dumps({"train": {"lr": 1e-3}}), encoding="utf-8")
     assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
                  "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
-    assert "unknown config 'train' key 'lr'" in capsys.readouterr().err
+    assert f"{config} 'train': unknown config 'train' key 'lr'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where, content, message", [
@@ -661,6 +733,7 @@ def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err, err
+    assert str(config) in err, err
 
 
 def test_unknown_config_file_section_is_a_domain_error(tmp_path, capsys, monkeypatch):
@@ -686,7 +759,7 @@ def test_refinery_config_file_values_reach_the_config():
     from forge import refinery
     from forge.records import read_config as _read_config
     obj = {"min_tokens": 3, "min_len_ratio": 1, "strict": True, "char_split_langs": ["ja"]}
-    assert _read_config(refinery.RefineryConfig, obj, "refinery config") == \
+    assert _read_config(refinery.RefineryConfig, obj, "refinery config", "rc.json") == \
         refinery.RefineryConfig(min_tokens=3, min_len_ratio=1.0, strict=True,
                                 char_split_langs=("ja",))
 
@@ -702,6 +775,7 @@ BAD_MODEL_CONFIGS = [
      f"model config has {617 * 10**13 + 16 * 10**26:,} parameters, more than "
      "the ceiling of 100,000,000"),
     ([4, 32], "model config must be an object"),
+    ({**MODEL_CONFIG, "init_seed": -1}, "init_seed must be >= 0, not -1"),
 ]
 
 
@@ -982,6 +1056,14 @@ INPUT_FILE_FLAGS = {
     "train --model-config": "train --mode fft --model-config {bad} --data {data} --out {out}",
     "--config": "--config {bad} train --mode fft --model-config {model} --data {data} "
                 "--out {out}",
+    "--config sweep": "--config {bad} sweep --model-config {model} --data {data} --out {out} "
+                      "--eval-translation {data}",
+    "--config refine": "--config {bad} refine --input {records} --output {out}",
+    "--config make-synth": "--config {bad} make-synth --task general --n 10 --out {out}",
+    "--config eval": "--config {bad} eval --checkpoint {ckpt} --data {data}",
+    "--config analyze-gradients": "--config {bad} analyze-gradients --checkpoint {ckpt} "
+                                  "--data {data} --out {out}",
+    "--config compare": "--config {bad} compare --spec {spec} --out {out}",
     "refine --config": "refine --input {records} --output {out} --config {bad}",
     "compare --spec": "compare --spec {bad} --out {out}",
     "refine --dev-set": "refine --input {records} --output {out} --dev-set {bad}",
@@ -991,7 +1073,9 @@ INPUT_FILE_FLAGS = {
     "refine --input --strict": "refine --input {bad} --output {out} --strict",
     "refine --input": "refine --input {bad} --output {out}",
 }
-JSON_FLAGS = ("train --model-config", "--config", "refine --config", "compare --spec")
+JSON_FLAGS = ("train --model-config", "--config", "--config sweep", "--config refine",
+              "--config make-synth", "--config eval", "--config analyze-gradients",
+              "--config compare", "refine --config", "compare --spec")
 
 
 def _input_files(tmp_path) -> dict:
@@ -1000,8 +1084,13 @@ def _input_files(tmp_path) -> dict:
                     encoding="utf-8")
     records = tmp_path / "records.jsonl"
     records.write_text(_record("t1 t2", "t3 t4") + "\n", encoding="utf-8")
-    return {"model": _write_model_config(tmp_path), "ckpt": _checkpoint(tmp_path),
-            "data": data, "records": records, "out": tmp_path / "out"}
+    model = _write_model_config(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"model_config": str(model), "train_data": str(data),
+                                "eval_sets": {}, "rows": [{"label": "fft", "mode": "fft"}]}),
+                    encoding="utf-8")
+    return {"model": model, "ckpt": _checkpoint(tmp_path), "data": data, "records": records,
+            "spec": spec, "out": tmp_path / "out"}
 
 
 @pytest.mark.parametrize("flag, content", [
@@ -1092,13 +1181,15 @@ def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task, flag, value", [
-    ("general", "--max-step", "-1"), ("general", "--max-step", "0"),
-    ("general", "--gen-max-len", "0"), ("general", "--n", "0"), ("translation", "--n", "-2")])
-def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value):
+@pytest.mark.parametrize("task, flag, value, least", [
+    ("general", "--max-step", "-1", 1), ("general", "--max-step", "0", 1),
+    ("general", "--gen-max-len", "0", 1), ("general", "--n", "0", 1),
+    ("translation", "--n", "-2", 1), ("translation", "--seed", "-1", 0),
+    ("general", "--perm-seed", "-4", 0)])
+def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value, least):
     out = tmp_path / "synth"
     assert main(["make-synth", "--task", task, "--out", str(out), flag, value]) == 1
-    assert capsys.readouterr().err == f"error: {flag} must be at least 1, not {value}\n"
+    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, not {value}\n"
     assert not out.exists()
 
 
@@ -1137,7 +1228,7 @@ def test_readme_compare_spec_passes_the_spec_checks(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "load_samples", stop)
     with pytest.raises(Checked):
         main(["compare", "--spec", "experiment.json", "--out", str(tmp_path / "cmp")])
-    plan = cli._compare_plan(spec, tinylm.ModelConfig.from_dict(model, "model.json").n_layers)
+    plan = cli._compare_plan(spec, "experiment.json", tinylm.ModelConfig(**model).n_layers)
     assert [(row["label"], mode.kind) for row, mode, _ in plan] == [
         ("fft", "fft"), ("single-stage", "single-stage"), ("two-stage", "two-stage")]
     assert all((cfg.lr_max, cfg.epochs, cfg.seed) == (1e-3, 1, 33) for _, _, cfg in plan)
