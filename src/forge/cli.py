@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import refinery, sensitivity, synth, tinylm, trainer
 from .errors import ForgeError, MalformedLine
-from .records import (NOT_UTF8, ParallelRecord, read_config, read_json, read_lines, read_object,
-                      read_records, write_records)
+from .records import (NOT_UTF8, ParallelRecord, check_range, read_config, read_json, read_lines,
+                      read_object, read_records, write_records)
 from .scorers import open_scorer
 
 
@@ -47,11 +47,14 @@ def _read_config_file(path: str | None) -> dict:
             for name, cls in sections.items() if name in obj}
 
 
-def _check_counts(*counts: tuple[str, int], least: int = 1) -> None:
-    """Each (flag, value) of counts must be at least `least`."""
-    for flag, value in counts:
-        if value < least:
-            raise ForgeError(f"{flag} must be at least {least}, not {value}")
+# The flags of `train` and `sweep` that set TrainConfig fields, by dest
+TRAIN_FLAGS = ("lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")
+# The range of every numeric flag but --k, --m and --skip, which read_mode
+# checks, by argparse dest: a flag that sets a config field has its range
+FLAG_RANGES = {
+    **{dest: trainer.TrainConfig.RANGES[dest] for dest in TRAIN_FLAGS},
+    **synth.SynthLangSpec.RANGES,
+    **dict.fromkeys(("n", "gen_max_len", "max_step", "threads", "batches"), "[1, inf)")}
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +111,7 @@ def cmd_refine(args) -> int:
 # make-synth
 
 def cmd_make_synth(args) -> int:
-    _check_counts(("--n", args.n), ("--gen-max-len", args.gen_max_len),
-                  ("--max-step", args.max_step))
     seed = args.seed if args.seed is not None else 0
-    _check_counts(("--seed", seed), ("--perm-seed", args.perm_seed), least=0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.task == "translation":
@@ -158,24 +158,34 @@ def _eval_sets(paths: dict[str, str], model: tinylm.ModelConfig) -> dict[str, sy
             for name, path in paths.items()}
 
 
+def _start_model(config: tinylm.ModelConfig | None, source: str | None,
+                 checkpoint: str | None) -> tinylm.ModelParams:
+    """The model of the checkpoint, else a fresh one of config. A config
+    read from source beside a checkpoint must be the checkpoint's own."""
+    if not checkpoint:
+        if config is None:
+            raise ForgeError("need --model-config or --checkpoint")
+        return tinylm.init(config)
+    params = tinylm.load_checkpoint(checkpoint)
+    if config is not None and config != params.config:
+        raise ForgeError(f"{source}: model config differs from checkpoint {checkpoint}'s "
+                         f"{params.config}")
+    return params
+
+
 def _load_model(args) -> tinylm.ModelParams:
-    if args.checkpoint:
-        return tinylm.load_checkpoint(args.checkpoint)
-    cfg = args.configs.get("model")
+    cfg = None if args.checkpoint else args.configs.get("model")
     if args.model_config:
         cfg = read_config(tinylm.ModelConfig, read_json(args.model_config), "model config",
                           args.model_config)
-    if cfg is None:
-        raise ForgeError("need --model-config or --checkpoint")
-    return tinylm.init(cfg)
+    return _start_model(cfg, args.model_config, args.checkpoint)
 
 
 def _train_config(args) -> trainer.TrainConfig:
     """The --config file's train section with the command-line options
     over it; both are checked by TrainConfig, the file's keys first."""
     config = args.configs.get("train", trainer.TrainConfig())
-    options = {name: getattr(args, name, None) for name in (
-        "lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")}
+    options = {name: getattr(args, name) for name in TRAIN_FLAGS}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
@@ -270,14 +280,8 @@ def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
     print(text, end="")
 
 
-def _workers(args) -> int:
-    """The row process count of `sweep` and `compare`."""
-    _check_counts(("--threads", args.threads))
-    return 1 if args.deterministic else args.threads
-
-
 def cmd_sweep(args) -> int:
-    workers = _workers(args)
+    workers = 1 if args.deterministic else args.threads
     config = _train_config(args)
     params = _load_model(args)
     samples = load_samples(args.data, params.config)
@@ -302,7 +306,6 @@ def cmd_sweep(args) -> int:
 # analyze-gradients
 
 def cmd_analyze(args) -> int:
-    _check_counts(("--batches", args.batches), ("--batch-size", args.batch_size))
     params = tinylm.load_checkpoint(args.checkpoint)
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, args.batch_size)[:args.batches]
@@ -377,9 +380,10 @@ def _compare_row(start: tinylm.ModelParams, train_samples: list[synth.Sample],
 
 
 def cmd_compare(args) -> int:
-    workers = _workers(args)
+    workers = 1 if args.deterministic else args.threads
     spec = read_object(read_json(args.spec), SPEC_KINDS, "spec",
                        SPEC_REQUIRED + (() if args.out else ("out_dir",)))
+    check_range(f"{args.spec} 'seed'", spec.get("seed", 0), trainer.TrainConfig.RANGES["seed"])
     read_object(spec["eval_sets"], {...: str}, "eval set")
     pre = spec.get("pretrain")
     if pre is not None:
@@ -388,14 +392,11 @@ def cmd_compare(args) -> int:
                               f"{args.spec} 'pretrain'")
     model_config = read_config(tinylm.ModelConfig, read_json(spec["model_config"]),
                                "model config", spec["model_config"])
+    start = _start_model(model_config, spec["model_config"], spec.get("start_checkpoint"))
     plan = _compare_plan(spec, args.spec, model_config.n_layers)
 
     out = Path(args.out or spec["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    if spec.get("start_checkpoint"):
-        start = tinylm.load_checkpoint(spec["start_checkpoint"])
-    else:
-        start = tinylm.init(model_config)
     if pre is not None:
         pre_samples = load_samples(pre["data"], model_config)
         pre_batches = synth.make_batches(pre_samples, pre_cfg.batch_size)
@@ -555,6 +556,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, interval in FLAG_RANGES.items():
+            if getattr(args, dest, None) is not None:
+                check_range("--" + dest.replace("_", "-"), getattr(args, dest), interval)
         args.configs = _read_config_file(args.config)
         return args.func(args)
     except (ForgeError, ValueError, OSError) as e:

@@ -11,7 +11,8 @@ by ``parse_json``, where a decode error or nesting too deep for the
 decoder is a ValueError giving the reason. Every JSON object a command
 reads from a file (a config, an experiment spec and its parts, a
 checkpoint manifest) is checked by ``read_object``, and a config
-dataclass is read by ``read_config``.
+dataclass is read by ``read_config``. Every number a command is told is
+checked against its range by ``check_range``.
 """
 from __future__ import annotations
 
@@ -170,6 +171,20 @@ def read_object(obj, kinds: dict, what: str, required=()) -> dict:
             name = KIND_NAMES[get_args(kind)[0] if get_origin(kind) is types.UnionType else kind]
             raise ForgeError(f"{what} {key!r} must be {name}, not {value!r}")
     return obj
+
+
+def check_range(name: str, value, interval: str) -> None:
+    """A ValueError naming `name` unless `value` lies in `interval`,
+    written like "[1, inf)" or "(0, 1]". NaN lies in no interval, and
+    neither does an integer too large for a float."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    try:
+        x = float(value)
+    except OverflowError:
+        x = float("nan")
+    if not ((low < x or interval[0] == "[" and x == low)
+            and (x < high or interval[-1] == "]" and x == high)):
+        raise ValueError(f"{name} must be in {interval}, not {value!r}")
 
 
 def read_config(cls, obj, what: str, source: str):

@@ -22,6 +22,7 @@ from .records import (
     CHARACTER_SPLIT_LANGS,
     InstructionSample,
     ParallelRecord,
+    check_range,
     read_records,
     tokenization_mode,
     tokenize,
@@ -52,22 +53,15 @@ class RefineryConfig:
     template_seed: int = 0
     strict: bool = False
     char_split_langs: tuple[str, ...] = tuple(sorted(CHARACTER_SPLIT_LANGS))
+    # simhash_bits is fixed at 64, and hamming_radius lies below it
+    RANGES = {"min_tokens": "[1, inf)", "min_len_ratio": "(0, 1]", "simhash_bits": "[64, 64]",
+              "hamming_radius": "[0, 64)", "max_conflicts": "[0, inf)",
+              "quality_percentile": "(0, 1)", "langid_min_prob": "[0, 1]",
+              "template_seed": "[0, inf)"}
 
     def __post_init__(self):
-        if self.min_tokens < 1:
-            raise ValueError("min_tokens must be >= 1")
-        if self.max_conflicts < 0:
-            raise ValueError("max_conflicts must be >= 0")
-        if not 0 <= self.langid_min_prob <= 1:  # NaN too
-            raise ValueError("langid_min_prob must be in [0, 1]")
-        if not 0 < self.min_len_ratio <= 1:
-            raise ValueError("min_len_ratio must be in (0, 1]")
-        if self.simhash_bits != 64:
-            raise ValueError("simhash_bits is fixed at 64")
-        if not 0 <= self.hamming_radius < self.simhash_bits:
-            raise ValueError("hamming_radius must be in [0, simhash_bits)")
-        if not 0 < self.quality_percentile < 1:
-            raise ValueError("quality_percentile must be in (0, 1)")
+        for name, interval in self.RANGES.items():
+            check_range(name, getattr(self, name), interval)
 
 
 @dataclass

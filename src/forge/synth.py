@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ForgeError, MalformedLine
-from .records import ParallelRecord, parse_json_line, read_lines, record_from_object
+from .records import ParallelRecord, check_range, parse_json_line, read_lines, record_from_object
 # greedy_decode stays importable from here because the benchmark's tracer wraps it.
 from .tinylm import (  # noqa: F401
     Batch,
@@ -48,14 +48,17 @@ class SynthLangSpec:
     reorder: str = "identity"  # "identity" | "reverse"
     min_len: int = 4
     max_len: int = 12
+    # a vocabulary needs two content tokens beside the reserved ones
+    RANGES = {"vocab_size": f"[{RESERVED + 2}, inf)", "perm_seed": "[0, inf)",
+              "min_len": "[1, inf)", "max_len": "[1, inf)"}
 
     def __post_init__(self):
-        if self.vocab_size <= RESERVED + 1:
-            raise ValueError("vocab_size leaves no content tokens")
+        for name, interval in self.RANGES.items():
+            check_range(name, getattr(self, name), interval)
         if self.reorder not in ("identity", "reverse"):
             raise ValueError(f"unknown reorder rule {self.reorder!r}")
-        if not 1 <= self.min_len <= self.max_len:
-            raise ValueError("need 1 <= min_len <= max_len")
+        if self.min_len > self.max_len:
+            raise ValueError("min_len must be <= max_len")
 
     @property
     def n_content(self) -> int:
@@ -113,8 +116,7 @@ def _translation_sample(spec: SynthLangSpec, src_tokens: Sequence[int],
 def gen_translation_corpus(spec: SynthLangSpec, n: int, seed: int
                            ) -> tuple[list[Sample], EvalSet]:
     """n unique samples split 95/5 into train and held-out eval."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_range("n", n, "[1, inf)")
     rng = np.random.default_rng([seed, 101])
     seen: set[tuple[int, ...]] = set()
     sources: list[tuple[int, ...]] = []
@@ -142,11 +144,9 @@ def gen_general_corpus(n: int, seed: int, vocab_size: int = 64, max_len: int = 8
     Steps are drawn from [0, max_step); the small default keeps the
     arithmetic table within reach of a toy model instead of pushing it
     into slow mod-arithmetic generalization."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_range("n", n, "[1, inf)")
+    check_range("vocab_size", vocab_size, SynthLangSpec.RANGES["vocab_size"])
     mod = vocab_size - RESERVED
-    if mod < 2:
-        raise ValueError("vocab_size leaves no room for content tokens")
     max_len = min(max_len, mod - 1)
     max_step = min(max_step, mod)
     total = mod * max_step * max_len

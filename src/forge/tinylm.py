@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllMasked, ForgeError
-from .records import read_config, read_json, read_object
+from .records import check_range, read_config, read_json, read_object
 
 NORM_EPS = 1e-6
 _SQRT2 = math.sqrt(2.0)
@@ -53,13 +53,13 @@ class ModelConfig:
     vocab_size: int
     max_seq_len: int
     init_seed: int = 0
+    RANGES = {"n_layers": "[1, inf)", "d_model": "[1, inf)", "n_heads": "[1, inf)",
+              "d_ff": "[1, inf)", "vocab_size": "[1, inf)", "max_seq_len": "[1, inf)",
+              "init_seed": "[0, inf)"}
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be >= 0, not {self.init_seed}")
+        for name, interval in self.RANGES.items():
+            check_range(name, getattr(self, name), interval)
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.param_count > MAX_PARAMS:

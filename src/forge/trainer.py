@@ -23,6 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ForgeError, IndexOutOfRange, NonFiniteInput, OverlappingStages
+from .records import check_range
 from .synth import EvalResult, EvalSet, evaluate
 from .tinylm import (
     Batch,
@@ -75,30 +76,16 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0
     seed: int = 0
+    RANGES = {"lr_max": "[0, inf)", "lr_min": "[0, inf)", "warmup_ratio": "[0, 1)",
+              "epochs": "[1, inf)", "batch_size": "[1, inf)", "grad_accum": "[1, inf)",
+              "beta1": "[0, 1)", "beta2": "[0, 1)", "eps": "(0, inf)",
+              "weight_decay": "[0, inf)", "seed": "[0, inf)"}
 
     def __post_init__(self):
-        for name in ("lr_max", "lr_min", "weight_decay", "eps"):
-            value, positive = getattr(self, name), name == "eps"
-            if not (_is_finite(value) and (value > 0 if positive else value >= 0)):
-                raise ValueError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
-                                 f"not {value!r}")
+        for name, interval in self.RANGES.items():
+            check_range(name, getattr(self, name), interval)
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must be <= lr_max")
-        for name in ("warmup_ratio", "beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), not {getattr(self, name)!r}")
-        for name, least in (("epochs", 1), ("batch_size", 1), ("grad_accum", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, not {getattr(self, name)!r}")
-
-
-def _is_finite(value: float) -> bool:
-    """Whether value is finite as a float; an integer too large to
-    convert is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

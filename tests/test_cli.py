@@ -305,7 +305,7 @@ def test_row_thread_count_must_be_positive(tmp_path, capsys, monkeypatch, comman
             "compare": ["compare", "--spec", str(spec_path)]}[command]
     assert main(argv + ["--out", str(tmp_path / "out"), "--threads", threads]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"--threads must be at least 1, not {threads}" in err
+    assert err.startswith("error: ") and f"--threads must be in [1, inf), not {threads}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -401,10 +401,11 @@ def _compare_spec(tmp_path, last_row, **top_level):
     ({"label": "x", "mode": "two-stage"}, {}, "two-stage mode trains no tensor"),
     ({"label": "x", "mode": "single-stage", "k": 1, "m": 1, "skip": [0, 3]}, {},
      "single-stage mode trains no tensor"),
-    ({"label": "x", "mode": "fft"}, {"seed": -1}, "seed must be >= 0, not -1"),
-    ({"label": "x", "mode": "fft", "train": {"seed": -2}}, {}, "seed must be >= 0, not -2"),
+    ({"label": "x", "mode": "fft"}, {"seed": -1}, "spec.json 'seed' must be in [0, inf), not -1"),
+    ({"label": "x", "mode": "fft", "train": {"seed": -2}}, {},
+     "spec.json row 'x': seed must be in [0, inf), not -2"),
     ({"label": "x", "mode": "fft"}, {"pretrain": {"data": "d", "config": {"seed": -3}}},
-     "'pretrain': seed must be >= 0, not -3"),
+     "spec.json 'pretrain': seed must be in [0, inf), not -3"),
     ({"label": "x", "mode": "fft", "train": {"lr": 1e-3}}, {}, "unknown train key 'lr'"),
     ({"label": "x", "mode": "fft", "train": {"epochs": 0}}, {}, "epochs"),
     ({"mode": "fft"}, {}, "needs a label"),
@@ -518,17 +519,20 @@ def test_compare_spec_paths_must_be_strings(tmp_path, capsys, monkeypatch, top_l
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("not-a-seed", "spec 'seed' must be an integer, not 'not-a-seed'"),
+    (-1, "spec.json 'seed' must be in [0, inf), not -1")])
 def test_compare_spec_seed_is_checked_when_every_row_has_its_own(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, seed, message):
     _no_training(monkeypatch)
-    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"}, seed="not-a-seed")
+    spec_path = _compare_spec(tmp_path, {"label": "x", "mode": "fft"}, seed=seed)
     spec = json.loads(spec_path.read_text())
     for row in spec["rows"]:
         row.setdefault("train", {})["seed"] = 1
     spec_path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["compare", "--spec", str(spec_path)]) == 1
     err = capsys.readouterr().err
-    assert "spec 'seed' must be an integer, not 'not-a-seed'" in err, err
+    assert message in err, err
     assert not (tmp_path / "cmp").exists()
 
 
@@ -629,11 +633,11 @@ def _no_training(monkeypatch):
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize("flags, message", [
-    (["--epochs", "0"], "epochs"),
-    (["--lr-min", "1", "--lr-max", "0.1"], "lr_min"),
-    (["--grad-accum", "0"], "grad_accum"),
-    (["--batch-size", "0"], "batch_size"),
-    (["--warmup-ratio", "1"], "warmup_ratio"),
+    (["--epochs", "0"], "--epochs must be in [1, inf), not 0"),
+    (["--lr-min", "1", "--lr-max", "0.1"], "lr_min must be <= lr_max"),
+    (["--grad-accum", "0"], "--grad-accum must be in [1, inf), not 0"),
+    (["--batch-size", "0"], "--batch-size must be in [1, inf), not 0"),
+    (["--warmup-ratio", "1"], "--warmup-ratio must be in [0, 1), not 1.0"),
 ])
 def test_training_flags_get_the_train_config_checks(
         tmp_path, capsys, monkeypatch, command, flags, message):
@@ -672,16 +676,16 @@ def test_train_config_values_are_checked_before_any_data_loads(
     argv = ["train", "--mode", "fft", "--data", "d",
             "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]
     if where == "flag":
-        argv.append(f"--{key.replace('_', '-')}={value!r}")
-        source = ""
+        name = f"--{key.replace('_', '-')}"
+        argv.append(f"{name}={value!r}")
     else:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
         argv = ["--config", str(config)] + argv
-        source = f"{config} 'train': "
+        name = f"{config} 'train': {key}"
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {source}{key} must be ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {name} must be in ") and err.count("\n") == 1, err
     assert err.endswith(f", not {value!r}\n"), err
 
 
@@ -720,9 +724,9 @@ def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
     ("global", {"refinery": {"hamming_radius": 2.0}}, "'hamming_radius' must be an integer"),
     ("global", [1], "config file must be an object"),
     ("global", {"refinary": {"min_tokens": 100}}, "unknown config file key 'refinary'"),
-    ("refine", {"min_tokens": 0}, "min_tokens must be >= 1"),
-    ("refine", {"max_conflicts": -1}, "max_conflicts must be >= 0"),
-    ("refine", {"langid_min_prob": float("nan")}, "langid_min_prob must be in [0, 1]"),
+    ("refine", {"min_tokens": 0}, "min_tokens must be in [1, inf), not 0"),
+    ("refine", {"max_conflicts": -1}, "max_conflicts must be in [0, inf), not -1"),
+    ("refine", {"langid_min_prob": float("nan")}, "langid_min_prob must be in [0, 1], not nan"),
 ])
 def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content, message):
     config = tmp_path / "config.json"
@@ -769,13 +773,13 @@ BAD_MODEL_CONFIGS = [
     ({k: v for k, v in MODEL_CONFIG.items() if k != "d_ff"}, "missing model config key 'd_ff'"),
     ({**MODEL_CONFIG, "n_heads": "4"}, "model config 'n_heads' must be an integer"),
     ({**MODEL_CONFIG, "vocab_size": 64.0}, "model config 'vocab_size' must be an integer"),
-    ({**MODEL_CONFIG, "n_heads": 0}, "n_heads must be >= 1"),
+    ({**MODEL_CONFIG, "n_heads": 0}, "n_heads must be in [1, inf), not 0"),
     # 617 d + 16 d^2 parameters for d_model d, far past the ceiling
     ({**MODEL_CONFIG, "d_model": 10**13},
      f"model config has {617 * 10**13 + 16 * 10**26:,} parameters, more than "
      "the ceiling of 100,000,000"),
     ([4, 32], "model config must be an object"),
-    ({**MODEL_CONFIG, "init_seed": -1}, "init_seed must be >= 0, not -1"),
+    ({**MODEL_CONFIG, "init_seed": -1}, "init_seed must be in [0, inf), not -1"),
 ]
 
 
@@ -815,6 +819,39 @@ def test_bad_checkpoint_manifest_config_is_a_domain_error(tmp_path, capsys, bad,
     assert main(["eval", "--checkpoint", str(ckpt), "--data", "d"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "manifest.json" in err, err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "compare"])
+@pytest.mark.parametrize("model, message", [
+    (MODEL_CONFIG, "model config differs from checkpoint {ckpt}'s ModelConfig(n_layers=2, "),
+    ({**MODEL_CONFIG, "n_layers": 0}, "n_layers must be in [1, inf), not 0")])
+def test_a_model_config_beside_a_checkpoint_must_be_its_own(
+        tmp_path, capsys, monkeypatch, command, model, message):
+    # a 4-layer model config beside a 2-layer checkpoint, where a row or
+    # the flags ask for layer 3 of the config's four
+    from forge import cli, tinylm
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("loaded data beside a model config that is not the checkpoint's")
+    _no_training(monkeypatch)
+    monkeypatch.setattr(cli, "load_samples", no_data)
+    ckpt = tmp_path / "ckpt"
+    tinylm.save_checkpoint(tinylm.init(tinylm.ModelConfig(**{**MODEL_CONFIG, "n_layers": 2})),
+                           ckpt)
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps(model), encoding="utf-8")
+    spec = {"model_config": str(config), "start_checkpoint": str(ckpt), "train_data": "d",
+            "eval_sets": {}, "rows": [{"label": "a", "mode": "single-layer", "layer": 3}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    beside = ["--model-config", str(config), "--checkpoint", str(ckpt), "--data", "d"]
+    argv = {"train": ["train", "--mode", "single-layer:3"] + beside,
+            "sweep": ["sweep", "--eval-translation", "d"] + beside,
+            "compare": ["compare", "--spec", str(tmp_path / "spec.json")]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: {message.format(ckpt=ckpt)}"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def _drop(field):
@@ -1168,28 +1205,29 @@ def test_refine_input_line_that_is_not_utf8_is_a_malformed_line(tmp_path, fixtur
         assert bad_report == good_report
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--batches", "-1"), ("--batches", "0"), ("--batch-size", "0"), ("--batch-size", "-3")])
-def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag, value, interval", [
+    ("--batches", "-1", "[1, inf)"), ("--batches", "0", "[1, inf)"),
+    ("--batch-size", "0", "[1, inf)"), ("--batch-size", "-3", "[1, inf)"),
+    ("--seed", "-3", "[0, inf)")])
+def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value, interval):
     assert main(["make-synth", "--task", "translation", "--n", "80", "--seed", "1",
                  "--out", str(tmp_path / "synth")]) == 0
     out = tmp_path / "report.csv"
     assert main(["analyze-gradients", "--checkpoint", str(_checkpoint(tmp_path)),
                  "--data", str(tmp_path / "synth"), "--out", str(out), flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{flag} must be at least 1" in err, err
+    assert capsys.readouterr().err == f"error: {flag} must be in {interval}, not {value}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task, flag, value, least", [
-    ("general", "--max-step", "-1", 1), ("general", "--max-step", "0", 1),
-    ("general", "--gen-max-len", "0", 1), ("general", "--n", "0", 1),
-    ("translation", "--n", "-2", 1), ("translation", "--seed", "-1", 0),
-    ("general", "--perm-seed", "-4", 0)])
-def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value, least):
+@pytest.mark.parametrize("task, flag, value, interval", [
+    ("general", "--max-step", "-1", "[1, inf)"), ("general", "--max-step", "0", "[1, inf)"),
+    ("general", "--gen-max-len", "0", "[1, inf)"), ("general", "--n", "0", "[1, inf)"),
+    ("translation", "--n", "-2", "[1, inf)"), ("translation", "--seed", "-1", "[0, inf)"),
+    ("general", "--perm-seed", "-4", "[0, inf)")])
+def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value, interval):
     out = tmp_path / "synth"
     assert main(["make-synth", "--task", task, "--out", str(out), flag, value]) == 1
-    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, not {value}\n"
+    assert capsys.readouterr().err == f"error: {flag} must be in {interval}, not {value}\n"
     assert not out.exists()
 
 
