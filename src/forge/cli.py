@@ -49,8 +49,9 @@ def _read_config_file(path: str | None) -> dict:
 
 # The flags of `train` and `sweep` that set TrainConfig fields, by dest
 TRAIN_FLAGS = ("lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad_accum", "seed")
-# The range of every numeric flag but --k, --m and --skip, which read_mode
-# checks, by argparse dest: a flag that sets a config field has its range
+# The range of every numeric flag but --k, --m and --skip, which
+# trainer.read_mode checks, by argparse dest: a flag that sets a config
+# field has its range
 FLAG_RANGES = {
     **{dest: trainer.TrainConfig.RANGES[dest] for dest in TRAIN_FLAGS},
     **synth.SynthLangSpec.RANGES,
@@ -143,13 +144,17 @@ def cmd_make_synth(args) -> int:
 def load_samples(path: str, model: tinylm.ModelConfig, split: str = "train"
                  ) -> list[synth.Sample]:
     """The samples of a data file, or of the `split` file of a data
-    directory, as synth.read_samples reads them for the model."""
+    directory, as synth.read_samples reads them for the model. A file
+    with no samples is a ForgeError naming it."""
     p = Path(path)
     if p.is_dir():
         p = p / f"{split}.jsonl"
     if not p.exists():
         raise ForgeError(f"no such data file: {p}")
-    return synth.read_samples(p, model.vocab_size, model.max_seq_len)
+    samples = synth.read_samples(p, model.vocab_size, model.max_seq_len)
+    if not samples:
+        raise ForgeError(f"{p}: holds no samples")
+    return samples
 
 
 def _eval_sets(paths: dict[str, str], model: tinylm.ModelConfig) -> dict[str, synth.EvalSet]:
@@ -189,36 +194,6 @@ def _train_config(args) -> trainer.TrainConfig:
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
 
-# The keys each training mode takes besides "mode", and their kinds
-_SELECTION_KINDS = {"k": int, "m": int, "skip": list[int]}
-MODE_KINDS = {"two-stage": _SELECTION_KINDS, "single-stage": _SELECTION_KINDS,
-              "fft": {}, "single-layer": {"layer": int}}
-
-
-def read_mode(obj: dict, n_layers: int, source: str) -> trainer.TrainMode:
-    """The one reader of a training mode, of `train --mode` and its flags
-    and of a `compare` row: {"mode": name} and only that mode's keys of
-    MODE_KINDS. It checks every layer index against n_layers and refuses
-    a mode that trains no tensor; a fault is a ForgeError naming source."""
-    try:
-        name = obj.get("mode")
-        if not isinstance(name, str) or name not in MODE_KINDS:
-            raise ForgeError(f"unknown mode {name!r}")
-        read_object(obj, {"mode": str} | MODE_KINDS[name], f"{name} mode")
-        if name == "single-layer" and "layer" not in obj:
-            raise ForgeError("single-layer needs a layer")
-        selection = None
-        if MODE_KINDS[name] is _SELECTION_KINDS:
-            selection = trainer.select_layers(n_layers, obj.get("k", 0), obj.get("m", 0),
-                                              obj.get("skip", ()))
-        mode = trainer.TrainMode(name, selection, obj.get("layer"))
-        if not any(keys for _, keys in trainer.stage_plan(mode, n_layers)):
-            raise ForgeError(f"{name} mode trains no tensor")
-        return mode
-    except ForgeError as e:
-        raise ForgeError(f"{source}: {e}") from e
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -226,14 +201,15 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     params = _load_model(args)
     # the mode object of --mode and of the --k, --m and --skip given; the
-    # <l> of single-layer:<l> is left to read_mode to refuse if not an integer
+    # <l> of single-layer:<l> is left to trainer.read_mode to refuse if not
+    # an integer
     flags = {key: getattr(args, key) for key in ("mode", "k", "m", "skip")
              if getattr(args, key) is not None}
     if args.mode.startswith("single-layer:"):
         flags["mode"], flags["layer"] = "single-layer", args.mode.split(":", 1)[1]
         with contextlib.suppress(ValueError):
             flags["layer"] = int(flags["layer"])
-    mode = read_mode(flags, params.config.n_layers, f"--mode {args.mode}")
+    mode = trainer.read_mode(flags, params.config.n_layers, f"--mode {args.mode}")
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, config.batch_size)
 
@@ -281,7 +257,6 @@ def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def cmd_sweep(args) -> int:
-    workers = 1 if args.deterministic else args.threads
     config = _train_config(args)
     params = _load_model(args)
     samples = load_samples(args.data, params.config)
@@ -294,7 +269,7 @@ def cmd_sweep(args) -> int:
         raise ForgeError("sweep needs --eval-translation and/or --eval-general")
 
     rows = trainer.single_layer_sweep(params, batches, eval_sets, config,
-                                      workers=workers)
+                                      workers=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out / "sweep.csv", ["layer"] + _eval_columns(eval_sets),
@@ -309,8 +284,6 @@ def cmd_analyze(args) -> int:
     params = tinylm.load_checkpoint(args.checkpoint)
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, args.batch_size)[:args.batches]
-    if not batches:
-        raise ForgeError("probe dataset produced no batches")
     report = sensitivity.layer_gradient_report(
         params, batches, dataset_id=args.data, seed=args.seed or 0,
         accumulate=not args.per_batch)
@@ -360,8 +333,8 @@ def _compare_plan(spec: dict, source: str, n_layers: int
         if any(row["label"] == planned["label"] for planned, _, _ in plan):
             raise ForgeError("row labels must be unique")
         where = f"row {row['label']!r}"
-        mode = read_mode({k: v for k, v in row.items() if k not in ("label", "train")},
-                         n_layers, where)
+        mode = trainer.read_mode({k: v for k, v in row.items() if k not in ("label", "train")},
+                                 n_layers, where)
         cfg = read_config(trainer.TrainConfig, row.get("train", {}), "train",
                           f"{source} {where}")
         if "seed" not in row.get("train", {}):
@@ -380,7 +353,6 @@ def _compare_row(start: tinylm.ModelParams, train_samples: list[synth.Sample],
 
 
 def cmd_compare(args) -> int:
-    workers = 1 if args.deterministic else args.threads
     spec = read_object(read_json(args.spec), SPEC_KINDS, "spec",
                        SPEC_REQUIRED + (() if args.out else ("out_dir",)))
     check_range(f"{args.spec} 'seed'", spec.get("seed", 0), trainer.TrainConfig.RANGES["seed"])
@@ -410,7 +382,7 @@ def cmd_compare(args) -> int:
 
     cells = trainer.run_rows(
         functools.partial(_compare_row, start, train_samples, eval_sets),
-        ((repr(row["label"]), (mode, cfg)) for row, mode, cfg in plan), workers)
+        ((repr(row["label"]), (mode, cfg)) for row, mode, cfg in plan), args.threads)
     table = [{"label": "start", "mode": "none", **_eval_cells(start_evals)}]
     table += [{"label": row["label"], "mode": row["mode"], **row_cells}
               for (row, _, _), row_cells in zip(plan, cells)]
@@ -439,8 +411,6 @@ def _common_flags(top_level: bool) -> argparse.ArgumentParser:
                         help="global random seed")
     common.add_argument("--threads", type=int, default=default(1),
                         help="processes for the rows of sweep and compare")
-    common.add_argument("--deterministic", action="store_true", default=default(False),
-                        help="force sequential execution everywhere")
     return common
 
 

@@ -100,8 +100,10 @@ class OverlappingStages(ForgeError):
     """Bottom-k and top-m layer sets intersect after skips."""
 
 
-class IndexOutOfRange(ForgeError):
-    """A layer index falls outside the model's layer range."""
+class OutOfRange(ForgeError, ValueError):
+    """A number lies outside its range: a config field, a flag, or a key
+    of a training mode. It is also a ValueError, so code that catches a
+    bad value as one still does."""
 
 
 class NonFiniteInput(ForgeError):

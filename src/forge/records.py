@@ -28,7 +28,7 @@ from typing import (Any, Callable, Iterable, Iterator, TextIO, get_args, get_ori
 
 import regex as _regex
 
-from .errors import ForgeError, MalformedLine
+from .errors import ForgeError, MalformedLine, OutOfRange
 
 REQUIRED_KEYS = ("src", "trg", "src_line", "tgt_line")
 
@@ -174,7 +174,7 @@ def read_object(obj, kinds: dict, what: str, required=()) -> dict:
 
 
 def check_range(name: str, value, interval: str) -> None:
-    """A ValueError naming `name` unless `value` lies in `interval`,
+    """An OutOfRange naming `name` unless `value` lies in `interval`,
     written like "[1, inf)" or "(0, 1]". NaN lies in no interval, and
     neither does an integer too large for a float."""
     low, high = (float(bound) for bound in interval[1:-1].split(","))
@@ -184,7 +184,7 @@ def check_range(name: str, value, interval: str) -> None:
         x = float("nan")
     if not ((low < x or interval[0] == "[" and x == low)
             and (x < high or interval[-1] == "]" and x == high)):
-        raise ValueError(f"{name} must be in {interval}, not {value!r}")
+        raise OutOfRange(f"{name} must be in {interval}, not {value!r}")
 
 
 def read_config(cls, obj, what: str, source: str):

@@ -45,7 +45,6 @@ class DropReason(Enum):
 class RefineryConfig:
     min_tokens: int = 2
     min_len_ratio: float = 0.3
-    simhash_bits: int = 64
     hamming_radius: int = 3
     max_conflicts: int = 2
     quality_percentile: float = 0.90
@@ -53,8 +52,8 @@ class RefineryConfig:
     template_seed: int = 0
     strict: bool = False
     char_split_langs: tuple[str, ...] = tuple(sorted(CHARACTER_SPLIT_LANGS))
-    # simhash_bits is fixed at 64, and hamming_radius lies below it
-    RANGES = {"min_tokens": "[1, inf)", "min_len_ratio": "(0, 1]", "simhash_bits": "[64, 64]",
+    # hamming_radius lies below the 64 bits of a signature
+    RANGES = {"min_tokens": "[1, inf)", "min_len_ratio": "(0, 1]",
               "hamming_radius": "[0, 64)", "max_conflicts": "[0, inf)",
               "quality_percentile": "(0, 1)", "langid_min_prob": "[0, 1]",
               "template_seed": "[0, inf)"}

@@ -87,12 +87,12 @@ def _row_norms_after_jacobi(r: np.ndarray) -> np.ndarray:
             active = np.abs(gamma) > tol * np.sqrt(alpha * beta)
             if active.any():
                 rotated = True
-                # a tiny gamma may overflow zeta to inf; t is then 0, the
-                # correct limit of the rotation
+                # a tiny gamma may overflow zeta, or the denominator of t,
+                # to inf; t is then 0, the correct limit of the rotation
                 with np.errstate(over="ignore"):
                     zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma),
                                      where=active)
-                t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
+                    t = np.where(zeta >= 0.0, 1.0, -1.0) / (np.abs(zeta) + np.hypot(1.0, zeta))
                 t[~active] = 0.0
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = c * t
@@ -203,33 +203,6 @@ def report_to_csv(report: GradientReport) -> str:
     for row in report.rows:
         out.write(f"{row.layer},{row.q_norm!r},{row.k_norm!r},{row.v_norm!r}\n")
     return out.getvalue()
-
-
-def report_from_csv(text: str) -> GradientReport:
-    dataset_id = ""
-    batch_count = 0
-    seed = 0
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            if key == "dataset":
-                dataset_id = value
-            elif key == "batches":
-                batch_count = int(value)
-            elif key == "seed":
-                seed = int(value)
-            continue
-        if line.startswith("layer,"):
-            continue
-        layer_s, q, k, v = line.split(",")
-        rows.append(LayerNorms(int(layer_s), float(q), float(k), float(v)))
-    return GradientReport(
-        probe=ProbeSpec(dataset_id=dataset_id, batch_count=batch_count, seed=seed),
-        rows=rows)
 
 
 def ascii_bars(report: GradientReport, width: int = 48) -> str:

@@ -117,6 +117,16 @@ def gen_translation_corpus(spec: SynthLangSpec, n: int, seed: int
                            ) -> tuple[list[Sample], EvalSet]:
     """n unique samples split 95/5 into train and held-out eval."""
     check_range("n", n, "[1, inf)")
+    # the distinct sources of each length, added only until they reach n;
+    # n_content ** n.bit_length() alone exceeds n, so the capped power
+    # never grows past what that test needs
+    distinct = 0
+    for length in range(spec.min_len, spec.max_len + 1):
+        distinct += spec.n_content ** min(length, n.bit_length())
+        if distinct >= n:
+            break
+    else:
+        raise ValueError(f"only {distinct} distinct sources exist")
     rng = np.random.default_rng([seed, 101])
     seen: set[tuple[int, ...]] = set()
     sources: list[tuple[int, ...]] = []

@@ -330,14 +330,12 @@ def _forward(params: ModelParams, x: np.ndarray, first: int, keep_from: int | No
     the tied head. The cache holds the activations of blocks keep_from..
     and of the head; keep_from=None keeps none."""
     config = params.config
-    cache = None if keep_from is None else {"layers": {}, "probs": []}
+    cache = None if keep_from is None else {"layers": {}}
     for layer in range(first, config.n_layers):
         lc = None
         if cache is not None and layer >= keep_from:
             lc = cache["layers"][layer] = {}
         x = block_forward(params, layer, x, cache=lc)
-        if lc is not None:
-            cache["probs"].append(lc["probs"])
     normed_f, xhat_f, r_f = _rmsnorm(x, params[(None, "final_gain")])
     if cache is not None:
         cache.update(x_final=x, normed_f=normed_f, xhat_f=xhat_f, r_f=r_f)
@@ -346,8 +344,9 @@ def _forward(params: ModelParams, x: np.ndarray, first: int, keep_from: int | No
 
 def forward(params: ModelParams, batch: Batch, keep: bool = True) -> tuple[np.ndarray, dict | None]:
     """Run the model; returns logits [B,T,V] and the activation cache
-    needed by the backward pass (attention probs under key 'probs'), or
-    None in place of the cache when keep is false."""
+    needed by the backward pass (one cache per block under key 'layers',
+    each holding its attention probs under 'probs'), or None in place of
+    the cache when keep is false."""
     batch.validate(params.config)
     return _forward(params, embed(params, batch.ids), 0, 0 if keep else None)
 

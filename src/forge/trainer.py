@@ -1,6 +1,8 @@
 """Two-stage layer-selective tuning plus the ablation modes it is
 compared against: single-stage union training, full fine-tuning, and the
-per-layer sweep.
+per-layer sweep. A training mode is read, checked and planned here:
+read_mode reads one from `train`'s flags or a `compare` row, and
+stage_plan turns it into the trainable tensors of each stage.
 
 Freezing contract: a training step touches exactly the tensors of the
 stage's trainable set; everything else stays bit-identical. Embeddings
@@ -22,8 +24,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ForgeError, IndexOutOfRange, NonFiniteInput, OverlappingStages
-from .records import check_range
+from .errors import ForgeError, NonFiniteInput, OverlappingStages
+from .records import check_range, read_object
 from .synth import EvalResult, EvalSet, evaluate
 from .tinylm import (
     Batch,
@@ -47,12 +49,11 @@ def select_layers(n_layers: int, k: int, m: int, skip=()) -> LayerSelection:
     """Resolve bottom-k / top-m index sets. k and m larger than the layer
     count select all layers from that end; the skip list is removed
     before the overlap check."""
-    if k < 0 or m < 0:
-        raise IndexOutOfRange("k and m must be >= 0")
+    check_range("k", k, "[0, inf)")
+    check_range("m", m, "[0, inf)")
     skip_set = frozenset(skip)
     for idx in skip_set:
-        if not 0 <= idx < n_layers:
-            raise IndexOutOfRange(f"skip index {idx} outside 0..{n_layers - 1}")
+        check_range("skip", idx, f"[0, {n_layers - 1}]")
     k = min(k, n_layers)
     m = min(m, n_layers)
     stage1 = frozenset(range(k)) - skip_set
@@ -126,32 +127,57 @@ class TrainMode:
 
 
 def stage_plan(mode: TrainMode, n_layers: int) -> list[tuple[str, set[ParamKey]]]:
-    """Resolve a mode into (stage name, trainable parameter keys) pairs."""
+    """Resolve a mode into (stage name, trainable parameter keys) pairs.
+    A single-layer mode's layer must be one of the model's, and a plan
+    must train some tensor; a stage may train none, and is then skipped."""
+    def keys(layers) -> set[ParamKey]:
+        return {key for layer in layers for key in layer_keys(layer)}
+
+    sel = mode.selection
     if mode.kind == "two-stage":
-        sel = mode.selection
-        return [
-            ("stage1", resolve_layer_keys_for(sel.stage1_layers, n_layers)),
-            ("stage2", resolve_layer_keys_for(sel.stage2_layers, n_layers)),
-        ]
-    if mode.kind == "single-stage":
-        sel = mode.selection
-        union = sel.stage1_layers | sel.stage2_layers
-        return [("single", resolve_layer_keys_for(union, n_layers))]
-    if mode.kind == "fft":
-        keys = resolve_layer_keys_for(set(range(n_layers)), n_layers)
-        keys.update(global_keys())
-        return [("fft", keys)]
-    return [(f"layer{mode.layer}", resolve_layer_keys_for({mode.layer}, n_layers))]
+        plan = [("stage1", keys(sel.stage1_layers)), ("stage2", keys(sel.stage2_layers))]
+    elif mode.kind == "single-stage":
+        plan = [("single", keys(sel.stage1_layers | sel.stage2_layers))]
+    elif mode.kind == "fft":
+        plan = [("fft", keys(range(n_layers)) | set(global_keys()))]
+    else:
+        check_range("layer", mode.layer, f"[0, {n_layers - 1}]")
+        plan = [(f"layer{mode.layer}", keys({mode.layer}))]
+    if not any(trainable for _, trainable in plan):
+        raise ForgeError(f"{mode.kind} mode trains no tensor")
+    return plan
 
 
-def resolve_layer_keys_for(layers, n_layers: int) -> set[ParamKey]:
-    for layer in layers:
-        if not 0 <= layer < n_layers:
-            raise IndexOutOfRange(f"layer {layer} outside 0..{n_layers - 1}")
-    keys: set[ParamKey] = set()
-    for layer in layers:
-        keys.update(layer_keys(layer))
-    return keys
+# The keys each training mode takes besides "mode", and their kinds. A
+# selection's keys may be left out (k and m are then 0, and skip is
+# empty); every other mode key is required.
+_SELECTION_KINDS = {"k": int, "m": int, "skip": list[int]}
+MODE_KINDS = {"two-stage": _SELECTION_KINDS, "single-stage": _SELECTION_KINDS,
+              "fft": {}, "single-layer": {"layer": int}}
+
+
+def read_mode(obj: dict, n_layers: int, source: str) -> TrainMode:
+    """The one reader of a training mode, of `train --mode` and its flags
+    and of a `compare` row: {"mode": name} and that mode's keys of
+    MODE_KINDS. select_layers and stage_plan check the mode's numbers
+    against n_layers, and stage_plan refuses a mode that trains no
+    tensor; a fault is a ForgeError naming source."""
+    try:
+        name = obj.get("mode")
+        if not isinstance(name, str) or name not in MODE_KINDS:
+            raise ForgeError(f"unknown mode {name!r}")
+        kinds = MODE_KINDS[name]
+        selects = kinds is _SELECTION_KINDS
+        read_object(obj, {"mode": str} | kinds, f"{name} mode", () if selects else kinds)
+        selection = None
+        if selects:
+            selection = select_layers(n_layers, obj.get("k", 0), obj.get("m", 0),
+                                      obj.get("skip", ()))
+        mode = TrainMode(name, selection, obj.get("layer"))
+        stage_plan(mode, n_layers)
+        return mode
+    except ForgeError as e:
+        raise ForgeError(f"{source}: {e}") from e
 
 
 class AdamState:

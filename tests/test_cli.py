@@ -35,12 +35,12 @@ def test_usage_error_exits_2(capsys):
 def test_global_flags_before_or_after_the_subcommand():
     parser = build_parser()
     rest = ["eval", "--checkpoint", "ckpt", "--data", "data"]
-    args = parser.parse_args(["--seed", "5", "--threads", "3", "--deterministic"] + rest)
-    assert (args.seed, args.threads, args.deterministic) == (5, 3, True)
+    args = parser.parse_args(["--seed", "5", "--threads", "3"] + rest)
+    assert (args.seed, args.threads) == (5, 3)
     args = parser.parse_args(rest + ["--seed", "5", "--threads", "3"])
-    assert (args.seed, args.threads, args.deterministic) == (5, 3, False)
+    assert (args.seed, args.threads) == (5, 3)
     args = parser.parse_args(rest)
-    assert (args.seed, args.threads, args.deterministic) == (None, 1, False)
+    assert (args.seed, args.threads) == (None, 1)
 
 
 def test_unknown_subcommand_exits_2():
@@ -393,8 +393,8 @@ def _compare_spec(tmp_path, last_row, **top_level):
 
 @pytest.mark.parametrize("last_row, top_level, message", [
     ({"label": "x", "mode": "frobnicate"}, {}, "unknown mode"),
-    ({"label": "x", "mode": "single-layer"}, {}, "needs a layer"),
-    ({"label": "x", "mode": "single-layer", "layer": 9}, {}, "outside"),
+    ({"label": "x", "mode": "single-layer"}, {}, "missing single-layer mode key 'layer'"),
+    ({"label": "x", "mode": "single-layer", "layer": 9}, {}, "layer must be in [0, 3], not 9"),
     ({"label": "x", "mode": "two-stage", "k": 3, "m": 3}, {}, "overlap"),
     ({"label": "x", "mode": "two-stage", "k": "1", "m": 1}, {}, "'k' must be an integer"),
     ({"label": "x", "mode": "fft", "k": 1}, {}, "unknown fft mode key 'k'"),
@@ -438,19 +438,19 @@ MODES = [
     ({"mode": "fft", "k": 3}, "unknown fft mode key 'k'"),
     ({"mode": "fft", "skip": [9]}, "unknown fft mode key 'skip'"),
     ({"mode": "two-stage", "k": 1, "m": 2, "skip": [3]}, None),
-    ({"mode": "two-stage", "k": 1, "skip": [4]}, "skip index 4 outside 0..3"),
+    ({"mode": "two-stage", "k": 1, "skip": [4]}, "skip must be in [0, 3], not 4"),
     ({"mode": "two-stage", "k": 3, "m": 2}, "bottom-3 and top-2 overlap on layers [2]"),
     ({"mode": "two-stage"}, "two-stage mode trains no tensor"),
     ({"mode": "two-stage", "k": 1, "m": 1, "skip": [0, 3]},
      "two-stage mode trains no tensor"),
     ({"mode": "single-stage", "k": 2, "m": 0}, None),
-    ({"mode": "single-stage", "k": -1}, "k and m must be >= 0"),
+    ({"mode": "single-stage", "k": -1}, "k must be in [0, inf), not -1"),
     ({"mode": "single-layer", "layer": 2}, None),
     ({"mode": "single-layer", "layer": 2, "m": 1}, "unknown single-layer mode key 'm'"),
-    ({"mode": "single-layer", "layer": 4}, "layer 4 outside 0..3"),
+    ({"mode": "single-layer", "layer": 4}, "layer must be in [0, 3], not 4"),
     ({"mode": "single-layer", "layer": "x"},
      "single-layer mode 'layer' must be an integer, not 'x'"),
-    ({"mode": "single-layer"}, "single-layer needs a layer"),
+    ({"mode": "single-layer"}, "missing single-layer mode key 'layer'"),
     ({"mode": "frobnicate"}, "unknown mode 'frobnicate'"),
 ]
 
@@ -1217,6 +1217,39 @@ def test_analyze_gradients_counts_must_be_positive(tmp_path, capsys, flag, value
                  "--data", str(tmp_path / "synth"), "--out", str(out), flag, value]) == 1
     assert capsys.readouterr().err == f"error: {flag} must be in {interval}, not {value}\n"
     assert not out.exists()
+
+
+def test_make_synth_refuses_more_sources_than_its_spec_allows(tmp_path, capsys):
+    # 2 content tokens at lengths 1 and 2 make 6 distinct sources; the
+    # refusal comes before any draw
+    start = time.monotonic()
+    assert main(["make-synth", "--task", "translation", "--vocab-size", "6", "--min-len", "1",
+                 "--max-len", "2", "--n", "20000", "--out", str(tmp_path / "synth")]) == 1
+    assert time.monotonic() - start < 2.0
+    assert capsys.readouterr().err == "error: only 6 distinct sources exist\n"
+
+
+# A command per reader of data files, each given an empty one
+EMPTY_DATA_RUNS = {
+    "train": "train --mode fft --model-config {model} --data {empty} --out {out}",
+    "sweep": "sweep --model-config {model} --data {empty} --out {out} "
+             "--eval-translation {data}",
+    "eval": "eval --checkpoint {ckpt} --data {empty}",
+    "analyze-gradients": "analyze-gradients --checkpoint {ckpt} --data {empty} --out {out}",
+    "compare": "compare --spec {spec} --out {out}",
+}
+
+
+@pytest.mark.parametrize("command", EMPTY_DATA_RUNS)
+def test_every_command_refuses_an_empty_data_file(tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    files = dict(_input_files(tmp_path), empty=empty)
+    spec = json.loads(files["spec"].read_text(encoding="utf-8"))
+    files["spec"].write_text(json.dumps({**spec, "train_data": str(empty)}), encoding="utf-8")
+    argv = [word.format(**files) for word in EMPTY_DATA_RUNS[command].split()]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {empty}: holds no samples\n"
 
 
 @pytest.mark.parametrize("task, flag, value, interval", [

@@ -14,7 +14,6 @@ from forge.sensitivity import (
     layer_gradient_report,
     nuclear_norm,
     nuclear_norms,
-    report_from_csv,
     report_to_csv,
 )
 from forge.tinylm import Batch, ModelConfig, init, loss_and_backward
@@ -119,11 +118,14 @@ def test_absolute_homogeneity(m, c):
     assert abs(scaled - abs(c) * base) <= 1e-9 * max(abs(c) * base, 1.0)
 
 
-def test_jacobi_rotation_with_overflowing_zeta_is_the_identity():
-    # the rows' inner product 1e-310 is active yet makes zeta overflow to
-    # -inf; the rotation is then the identity, and numpy does not warn
+@pytest.mark.parametrize("gamma", [1e-310, 5e-309])
+def test_jacobi_rotation_with_overflowing_zeta_is_the_identity(gamma):
+    # the rows' inner product is active yet makes zeta overflow to -inf
+    # (1e-310), or leaves zeta near -1e308 and overflows the denominator
+    # of t (5e-309); the rotation is then the identity, and numpy does
+    # not warn
     from forge.sensitivity import _row_norms_after_jacobi
-    r = np.array([[[1.0, 0.0], [1e-310, 0.0]]])
+    r = np.array([[[1.0, 0.0], [gamma, 0.0]]])
     np.testing.assert_array_equal(_row_norms_after_jacobi(r), [[1.0, 0.0]])
 
 
@@ -206,14 +208,17 @@ def test_report_rejects_non_finite_gradient():
         layer_gradient_report(params, _probe_batches())
 
 
-def test_csv_round_trip():
+def test_csv_text_writes_floats_that_read_back_exactly():
     report = GradientReport(
         probe=ProbeSpec("set-a", 4, 17),
         rows=[LayerNorms(0, 1.25, 0.5, 0.3333333333333333),
               LayerNorms(1, 2.5e-7, 19.0, 0.1)])
-    back = report_from_csv(report_to_csv(report))
-    assert back.probe == report.probe
-    assert back.rows == report.rows
+    assert report_to_csv(report) == ("# dataset=set-a\n"
+                                     "# batches=4\n"
+                                     "# seed=17\n"
+                                     "layer,q_norm,k_norm,v_norm\n"
+                                     "0,1.25,0.5,0.3333333333333333\n"
+                                     "1,2.5e-07,19.0,0.1\n")
 
 
 def test_csv_has_expected_header_and_rows():

@@ -70,6 +70,16 @@ def test_translation_corpus_split_disjoint():
     assert len(train_prompts) == len(train)
 
 
+def test_translation_corpus_takes_every_source_its_spec_allows_and_no_more():
+    # 2 content tokens at lengths 1 and 2 make 2 + 4 = 6 distinct sources
+    spec = SynthLangSpec(vocab_size=6, min_len=1, max_len=2)
+    train, eval_set = gen_translation_corpus(spec, 6, seed=3)
+    assert len({s.prompt for s in train + eval_set.samples}) == 6
+    with pytest.raises(ValueError) as err:
+        gen_translation_corpus(spec, 7, seed=3)
+    assert str(err.value) == "only 6 distinct sources exist"
+
+
 def test_translation_sample_structure():
     spec = SynthLangSpec(vocab_size=32, perm_seed=3, min_len=4, max_len=8)
     train, _ = gen_translation_corpus(spec, 50, seed=7)

@@ -74,8 +74,9 @@ def test_forward_shapes_and_prob_rows():
     batch = _batch(np.random.default_rng(0))
     logits, cache = forward(params, batch)
     assert logits.shape == (3, 10, CFG.vocab_size)
-    for probs in cache["probs"]:
-        sums = probs.sum(axis=-1)
+    assert sorted(cache["layers"]) == list(range(CFG.n_layers))
+    for layer_cache in cache["layers"].values():
+        sums = layer_cache["probs"].sum(axis=-1)
         assert np.allclose(sums, 1.0, atol=1e-6)
 
 

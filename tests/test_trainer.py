@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from forge import trainer
-from forge.errors import ForgeError, IndexOutOfRange, NonFiniteInput, OverlappingStages
+from forge.errors import ForgeError, NonFiniteInput, OutOfRange, OverlappingStages
 from forge.synth import (
     SynthLangSpec,
     evaluate,
@@ -89,7 +89,7 @@ def test_select_layers_k_plus_m_equals_l_allowed():
 
 
 def test_select_layers_bad_skip_index():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(OutOfRange):
         select_layers(6, 1, 1, skip={6})
 
 
@@ -241,6 +241,12 @@ def test_two_stage_k0_skips_stage1():
     skip_entries = [e for e in result.log if e.get("skipped")]
     assert len(skip_entries) == 1 and skip_entries[0]["stage"] == "stage1"
     assert params_digest(result.stage_params["stage1"]) == start
+
+
+def test_run_refuses_a_mode_that_trains_no_tensor():
+    mode = TrainMode.two_stage(select_layers(CFG.n_layers, 0, 0))
+    with pytest.raises(ForgeError, match="^two-stage mode trains no tensor$"):
+        run(init(CFG), _small_batches(n=8), mode, TrainConfig())
 
 
 def test_run_does_not_mutate_caller_params():
