@@ -31,20 +31,10 @@ def _load_records(path: str) -> list[ParallelRecord]:
         raise ForgeError(f"{path}: {e}") from e
 
 
-def _read_config_file(path: str | None) -> dict:
-    """The configs of the --config file's sections by name, each
-    checked; a fault names the file."""
-    if not path:
-        return {}
-    obj = read_json(path)
-    sections = {"model": tinylm.ModelConfig, "train": trainer.TrainConfig,
-                "refinery": refinery.RefineryConfig}
-    try:
-        read_object(obj, dict.fromkeys(sections, object), "config file")
-    except ForgeError as e:
-        raise ForgeError(f"{path}: {e}") from e
-    return {name: read_config(cls, obj[name], f"config {name!r}", f"{path} {name!r}")
-            for name, cls in sections.items() if name in obj}
+def _config_file(cls, path: str | None, what: str):
+    """The `cls` config that the JSON file at path holds, checked, or
+    None without a path; a fault names the file."""
+    return read_config(cls, read_json(path), what, path) if path else None
 
 
 # The flags of `train` and `sweep` that set TrainConfig fields, by dest
@@ -55,17 +45,16 @@ TRAIN_FLAGS = ("lr_max", "lr_min", "warmup_ratio", "epochs", "batch_size", "grad
 FLAG_RANGES = {
     **{dest: trainer.TrainConfig.RANGES[dest] for dest in TRAIN_FLAGS},
     **synth.SynthLangSpec.RANGES,
-    **dict.fromkeys(("n", "gen_max_len", "max_step", "threads", "batches"), "[1, inf)")}
+    "n": "[2, inf)",
+    **dict.fromkeys(("gen_max_len", "max_step", "threads", "batches"), "[1, inf)")}
 
 
 # ---------------------------------------------------------------------------
 # refine
 
 def cmd_refine(args) -> int:
-    config = args.configs.get("refinery", refinery.RefineryConfig())
-    if args.pipeline_config:
-        config = read_config(refinery.RefineryConfig, read_json(args.pipeline_config),
-                             "refinery config", args.pipeline_config)
+    config = (_config_file(refinery.RefineryConfig, args.config, "refinery config")
+              or refinery.RefineryConfig())
     if args.strict:
         config.strict = True
 
@@ -112,24 +101,23 @@ def cmd_refine(args) -> int:
 # make-synth
 
 def cmd_make_synth(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.task == "translation":
         spec = synth.SynthLangSpec(
             vocab_size=args.vocab_size, perm_seed=args.perm_seed,
             reorder=args.reorder, min_len=args.min_len, max_len=args.max_len)
-        train, eval_set = synth.gen_translation_corpus(spec, args.n, seed)
+        train, eval_set = synth.gen_translation_corpus(spec, args.n, args.seed)
         with open(out / "records.jsonl", "w", encoding="utf-8") as f:
             write_records((synth.sample_to_record(s, spec) for s in train), f)
-        meta = {"task": "translation", "n": args.n, "seed": seed,
+        meta = {"task": "translation", "n": args.n, "seed": args.seed,
                 "vocab_size": args.vocab_size, "perm_seed": args.perm_seed,
                 "reorder": args.reorder}
     else:
         train, eval_set = synth.gen_general_corpus(
-            args.n, seed, vocab_size=args.vocab_size,
+            args.n, args.seed, vocab_size=args.vocab_size,
             max_len=args.gen_max_len, max_step=args.max_step)
-        meta = {"task": "general", "n": args.n, "seed": seed,
+        meta = {"task": "general", "n": args.n, "seed": args.seed,
                 "vocab_size": args.vocab_size, "max_len": args.gen_max_len,
                 "max_step": args.max_step}
     synth.write_samples(train, out / "train.jsonl")
@@ -179,17 +167,15 @@ def _start_model(config: tinylm.ModelConfig | None, source: str | None,
 
 
 def _load_model(args) -> tinylm.ModelParams:
-    cfg = None if args.checkpoint else args.configs.get("model")
-    if args.model_config:
-        cfg = read_config(tinylm.ModelConfig, read_json(args.model_config), "model config",
-                          args.model_config)
+    cfg = _config_file(tinylm.ModelConfig, args.model_config, "model config")
     return _start_model(cfg, args.model_config, args.checkpoint)
 
 
 def _train_config(args) -> trainer.TrainConfig:
-    """The --config file's train section with the command-line options
-    over it; both are checked by TrainConfig, the file's keys first."""
-    config = args.configs.get("train", trainer.TrainConfig())
+    """The --config file's TrainConfig with the training flags given over
+    it; both are checked by TrainConfig, the file's keys first."""
+    config = (_config_file(trainer.TrainConfig, args.config, "train config")
+              or trainer.TrainConfig())
     options = {name: getattr(args, name) for name in TRAIN_FLAGS}
     return dataclasses.replace(config, **{k: v for k, v in options.items() if v is not None})
 
@@ -285,7 +271,7 @@ def cmd_analyze(args) -> int:
     samples = load_samples(args.data, params.config)
     batches = synth.make_batches(samples, args.batch_size)[:args.batches]
     report = sensitivity.layer_gradient_report(
-        params, batches, dataset_id=args.data, seed=args.seed or 0,
+        params, batches, dataset_id=args.data, seed=args.seed,
         accumulate=not args.per_batch)
     csv_text = sensitivity.report_to_csv(report)
     Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -399,25 +385,13 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _common_flags(top_level: bool) -> argparse.ArgumentParser:
-    """The global flags, accepted before or after the subcommand. Only the
-    top-level copy has defaults: a subcommand copy that is not given sets
-    nothing, so a value given before the subcommand survives."""
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default(None),
-                        help="global random seed")
-    common.add_argument("--threads", type=int, default=default(1),
-                        help="processes for the rows of sweep and compare")
-    return common
-
-
 def _training_flags() -> argparse.ArgumentParser:
-    """Schedule and batching options of `train` and `sweep`; one left
-    unset keeps the --config file's value or the TrainConfig default."""
+    """The TrainConfig options of `train` and `sweep`: a file holding a
+    TrainConfig object, and flags over its keys. A flag left unset keeps
+    the file's value or the TrainConfig default."""
     training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--config", default=None, help="TrainConfig JSON file")
+    training.add_argument("--seed", type=int, default=None)
     training.add_argument("--epochs", type=int, default=None)
     training.add_argument("--lr-max", type=float, default=None, dest="lr_max")
     training.add_argument("--lr-min", type=float, default=None, dest="lr_min")
@@ -428,20 +402,14 @@ def _training_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags(top_level=False)
     training = _training_flags()
-    parser = argparse.ArgumentParser(prog="forge", parents=[_common_flags(top_level=True)])
-    parser.add_argument("--config", default=None,
-                        help="JSON file with refinery/train/model defaults "
-                             "(goes before the subcommand)")
+    parser = argparse.ArgumentParser(prog="forge")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("refine", parents=[common],
-                       help="run the six-step corpus refinement pipeline")
+    p = sub.add_parser("refine", help="run the six-step corpus refinement pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--config", dest="pipeline_config", default=None,
-                   help="refinery config JSON file")
+    p.add_argument("--config", default=None, help="RefineryConfig JSON file")
     p.add_argument("--langid-scorer", default=None, metavar="CMD|FILE")
     p.add_argument("--quality-scorer", default=None, metavar="CMD|FILE")
     p.add_argument("--dev-set", default=None)
@@ -455,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one instruction template per line")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("make-synth", parents=[common],
-                       help="generate a synthetic task corpus")
+    p = sub.add_parser("make-synth", help="generate a synthetic task corpus")
     p.add_argument("--task", choices=("translation", "general"), required=True)
     p.add_argument("--n", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-size", type=int, default=64)
     p.add_argument("--perm-seed", type=int, default=0)
@@ -471,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="general task: steps drawn from [0, max-step)")
     p.set_defaults(func=cmd_make_synth)
 
-    p = sub.add_parser("train", parents=[common, training], help="train a model")
+    p = sub.add_parser("train", parents=[training], help="train a model")
     p.add_argument("--mode", required=True,
                    help="two-stage | single-stage | fft | single-layer:<l>")
     p.add_argument("--k", type=int, default=None, help="bottom-k layers (stage 1)")
@@ -485,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", parents=[common, training],
+    p = sub.add_parser("sweep", parents=[training],
                        help="train each layer independently and tabulate")
+    p.add_argument("--threads", type=int, default=1, help="processes for the rows")
     p.add_argument("--data", required=True)
     p.add_argument("--model-config", default=None)
     p.add_argument("--checkpoint", default=None)
@@ -495,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-general", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("analyze-gradients", parents=[common],
-                       help="per-layer nuclear norms of Q/K/V gradients")
+    p = sub.add_parser("analyze-gradients", help="per-layer nuclear norms of Q/K/V gradients")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--batches", type=int, default=8)
@@ -504,18 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--per-batch", action="store_true",
                    help="mean of per-batch norms instead of accumulated gradient")
+    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
+    p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task-id", default="eval")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="train several modes from one start checkpoint")
+    p = sub.add_parser("compare", help="train several modes from one start checkpoint")
     p.add_argument("--spec", required=True)
+    p.add_argument("--threads", type=int, default=1, help="processes for the rows")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
@@ -523,13 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for dest, interval in FLAG_RANGES.items():
             if getattr(args, dest, None) is not None:
                 check_range("--" + dest.replace("_", "-"), getattr(args, dest), interval)
-        args.configs = _read_config_file(args.config)
         return args.func(args)
     except (ForgeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

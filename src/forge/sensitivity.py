@@ -159,8 +159,7 @@ class GradientReport:
 
 def layer_gradient_report(params: ModelParams, batches: list[Batch],
                           dataset_id: str = "", seed: int = 0,
-                          accumulate: bool = True,
-                          loss_scale: float = 1.0) -> GradientReport:
+                          accumulate: bool = True) -> GradientReport:
     """Per-layer nuclear norms of the Q/K/V gradients over the probe.
     No parameter is updated. With accumulate=True (default) gradients
     are summed across batches before norming; otherwise the report
@@ -173,7 +172,7 @@ def layer_gradient_report(params: ModelParams, batches: list[Batch],
     # numpy need not warn of it as well
     with np.errstate(all="ignore"):
         for batch in batches:
-            _, grads = loss_and_backward(params, batch, loss_scale=loss_scale, need=keys)
+            _, grads = loss_and_backward(params, batch, need=keys)
             stack = np.stack([grads[key] for key in keys])
             term = stack if accumulate else nuclear_norms(stack)
             total = term if total is None else total + term

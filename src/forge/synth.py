@@ -115,8 +115,9 @@ def _translation_sample(spec: SynthLangSpec, src_tokens: Sequence[int],
 
 def gen_translation_corpus(spec: SynthLangSpec, n: int, seed: int
                            ) -> tuple[list[Sample], EvalSet]:
-    """n unique samples split 95/5 into train and held-out eval."""
-    check_range("n", n, "[1, inf)")
+    """n unique samples split 95/5 into train and held-out eval, with
+    at least one sample held out."""
+    check_range("n", n, "[2, inf)")
     # the distinct sources of each length, added only until they reach n;
     # n_content ** n.bit_length() alone exceeds n, so the capped power
     # never grows past what that test needs
@@ -154,7 +155,7 @@ def gen_general_corpus(n: int, seed: int, vocab_size: int = 64, max_len: int = 8
     Steps are drawn from [0, max_step); the small default keeps the
     arithmetic table within reach of a toy model instead of pushing it
     into slow mod-arithmetic generalization."""
-    check_range("n", n, "[1, inf)")
+    check_range("n", n, "[2, inf)")
     check_range("vocab_size", vocab_size, SynthLangSpec.RANGES["vocab_size"])
     mod = vocab_size - RESERVED
     max_len = min(max_len, mod - 1)
@@ -179,7 +180,7 @@ def gen_general_corpus(n: int, seed: int, vocab_size: int = 64, max_len: int = 8
 def _split(samples: list[Sample], rng: np.random.Generator, task_id: str
            ) -> tuple[list[Sample], EvalSet]:
     order = rng.permutation(len(samples))
-    n_eval = max(1, round(0.05 * len(samples))) if len(samples) > 1 else 0
+    n_eval = max(1, round(0.05 * len(samples)))
     eval_samples = [samples[int(i)] for i in order[:n_eval]]
     train_samples = [samples[int(i)] for i in order[n_eval:]]
     return train_samples, EvalSet(task_id=task_id, samples=eval_samples)

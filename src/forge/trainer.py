@@ -13,6 +13,7 @@ dataset.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import multiprocessing
@@ -20,6 +21,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,6 +45,7 @@ from .tinylm import (
 class LayerSelection:
     stage1_layers: frozenset[int]
     stage2_layers: frozenset[int]
+    n_layers: int  # of the model the layers were selected for
 
 
 def select_layers(n_layers: int, k: int, m: int, skip=()) -> LayerSelection:
@@ -61,7 +64,7 @@ def select_layers(n_layers: int, k: int, m: int, skip=()) -> LayerSelection:
     if stage1 & stage2:
         raise OverlappingStages(
             f"bottom-{k} and top-{m} overlap on layers {sorted(stage1 & stage2)}")
-    return LayerSelection(stage1, stage2)
+    return LayerSelection(stage1, stage2, n_layers)
 
 
 @dataclass
@@ -128,12 +131,16 @@ class TrainMode:
 
 def stage_plan(mode: TrainMode, n_layers: int) -> list[tuple[str, set[ParamKey]]]:
     """Resolve a mode into (stage name, trainable parameter keys) pairs.
-    A single-layer mode's layer must be one of the model's, and a plan
-    must train some tensor; a stage may train none, and is then skipped."""
+    A selection must have been made for a model of n_layers layers, a
+    single-layer mode's layer must be one of the model's, and a plan must
+    train some tensor; a stage may train none, and is then skipped."""
     def keys(layers) -> set[ParamKey]:
         return {key for layer in layers for key in layer_keys(layer)}
 
     sel = mode.selection
+    if sel is not None and sel.n_layers != n_layers:
+        raise ForgeError(f"{mode.kind} mode selects layers of a {sel.n_layers}-layer model, "
+                         f"not of this {n_layers}-layer one")
     if mode.kind == "two-stage":
         plan = [("stage1", keys(sel.stage1_layers)), ("stage2", keys(sel.stage2_layers))]
     elif mode.kind == "single-stage":
@@ -305,14 +312,29 @@ def run(start_params: ModelParams, batches: list[Batch], mode: TrainMode,
     return result
 
 
+@functools.cache
+def _blas_set_threads() -> Callable[[int], int] | None:
+    """The call that sets the thread count of the OpenBLAS that numpy's
+    wheel bundles in numpy.libs, or None where there is no such library
+    or it has no such symbol."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            return ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+    return None
+
+
 def _worker(work: Callable, conn, parent_ends: list) -> None:
     """The body of a row worker process: run `work` on each args tuple
     received until a None arrives, and send back each row's result, or
     its error as a string, since not every ForgeError can be pickled.
     It first closes its copies of the parent's pipe ends, so that it
-    sees EOF, and exits, if the parent dies."""
+    sees EOF, and exits, if the parent dies, and gives its BLAS one
+    thread, since the workers already run side by side."""
     for end in parent_ends:
         end.close()
+    set_blas_threads = _blas_set_threads()
+    if set_blas_threads is not None:
+        set_blas_threads(1)
     while True:
         try:
             args = conn.recv()
@@ -377,7 +399,8 @@ def run_rows(work: Callable, jobs: Iterable[tuple[object, tuple]], workers: int 
 
     With one worker every job runs in this process. With more, up to
     `workers` worker processes are forked, one the first time a job finds
-    no idle worker, and each runs job after job until the jobs run out.
+    no idle worker, and each runs job after job, with one BLAS thread,
+    until the jobs run out.
     A worker inherits `work` and what it refers to copy-on-write; only a
     job's args are pickled to it, and only its result comes back. The
     caller runs no other Python thread meanwhile, which fork needs. A
@@ -395,6 +418,7 @@ def run_rows(work: Callable, jobs: Iterable[tuple[object, tuple]], workers: int 
                 raise ForgeError(f"row {label}: {e}") from e
         return results
     context = multiprocessing.get_context("fork")
+    _blas_set_threads()  # looked up once, here, before any worker is forked
     results: dict[int, object] = {}
     pool: dict = {}  # a worker's pipe end -> its process
     busy: dict = {}  # a busy worker's pipe end -> (index, label) of its row

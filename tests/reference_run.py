@@ -9,7 +9,6 @@ same model and do not depend on each other, so they run through
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -38,11 +37,7 @@ TUNE = dict(lr_max=1e-3, lr_min=1e-4, warmup_ratio=0.03, epochs=1,
             batch_size=BATCH_SIZE, grad_accum=1, seed=33)
 BOTTOM_K = 2
 TOP_M = 3
-# The tunings run side by side in two worker processes only when BLAS is
-# pinned to one thread. Unpinned, each worker's OpenBLAS starts a thread
-# per CPU; on 2 CPUs the two tunings then took 26 s side by side against
-# 15 s one after the other, and 9 s side by side when pinned.
-TUNING_WORKERS = 2 if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 1
+TUNING_WORKERS = 2
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, wiring, reproducibility of primary outputs,
 and the make-synth -> refine -> train -> eval smoke chain."""
+import argparse
 import json
 import os
 import re
@@ -32,15 +33,49 @@ def test_usage_error_exits_2(capsys):
     assert err.value.code == 2
 
 
-def test_global_flags_before_or_after_the_subcommand():
+# The options of each subcommand; forge itself takes none but --help
+TRAINING_OPTIONS = "--config --seed --epochs --lr-max --lr-min --warmup-ratio --batch-size " \
+    "--grad-accum"
+OPTIONS = {
+    "refine": "--input --output --config --langid-scorer --quality-scorer --dev-set "
+              "--dev-scorer --strict --report --emit --templates",
+    "make-synth": "--task --n --seed --out --vocab-size --perm-seed --reorder --min-len "
+                  "--max-len --gen-max-len --max-step",
+    "train": TRAINING_OPTIONS + " --mode --k --m --skip --data --model-config --checkpoint --out",
+    "sweep": TRAINING_OPTIONS + " --threads --data --model-config --checkpoint --out "
+                                "--eval-translation --eval-general",
+    "analyze-gradients": "--checkpoint --data --batches --batch-size --out --per-batch --seed",
+    "eval": "--checkpoint --data --task-id --out",
+    "compare": "--spec --threads --out",
+}
+
+
+def _options(parser) -> set[str]:
+    return {flag for action in parser._actions for flag in action.option_strings} - \
+        {"-h", "--help"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
     parser = build_parser()
-    rest = ["eval", "--checkpoint", "ckpt", "--data", "data"]
-    args = parser.parse_args(["--seed", "5", "--threads", "3"] + rest)
-    assert (args.seed, args.threads) == (5, 3)
-    args = parser.parse_args(rest + ["--seed", "5", "--threads", "3"])
-    assert (args.seed, args.threads) == (5, 3)
-    args = parser.parse_args(rest)
-    assert (args.seed, args.threads) == (None, 1)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert _options(parser) == set()
+    assert {command: _options(p) for command, p in sub.choices.items()} == {
+        command: set(options.split()) for command, options in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    "--seed 1 eval --checkpoint c --data d",
+    "eval --checkpoint c --data d --seed 1",
+    "refine --input i --output o --threads 2",
+    "compare --spec s --seed 1",
+    "--config f train --mode fft --data d --out o",
+    "--threads 2 sweep --data d --out o",
+])
+def test_a_flag_the_command_does_not_take_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: forge")
 
 
 def test_unknown_subcommand_exits_2():
@@ -537,15 +572,18 @@ def test_compare_spec_seed_is_checked_when_every_row_has_its_own(
 
 
 TRAINING_FLAGS = ["--epochs", "2", "--lr-max", "1e-3", "--lr-min", "1e-4",
-                  "--warmup-ratio", "0.1", "--batch-size", "4", "--grad-accum", "3"]
-TRAINING_DESTS = ("epochs", "lr_max", "lr_min", "warmup_ratio", "batch_size", "grad_accum")
+                  "--warmup-ratio", "0.1", "--batch-size", "4", "--grad-accum", "3",
+                  "--seed", "7", "--config", "c.json"]
+TRAINING_DESTS = ("epochs", "lr_max", "lr_min", "warmup_ratio", "batch_size", "grad_accum",
+                  "seed", "config")
 
 
 def test_train_and_sweep_share_the_training_options():
     parser = build_parser()
     train = ["train", "--mode", "fft", "--data", "d", "--out", "o"]
     sweep = ["sweep", "--data", "d", "--out", "o"]
-    for given, want in (([], (None,) * 6), (TRAINING_FLAGS, (2, 1e-3, 1e-4, 0.1, 4, 3))):
+    for given, want in (([], (None,) * 8),
+                        (TRAINING_FLAGS, (2, 1e-3, 1e-4, 0.1, 4, 3, 7, "c.json"))):
         for argv in (train, sweep):
             args = parser.parse_args(argv + given)
             got = tuple(getattr(args, dest) for dest in TRAINING_DESTS)
@@ -680,9 +718,9 @@ def test_train_config_values_are_checked_before_any_data_loads(
         argv.append(f"{name}={value!r}")
     else:
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"train": {key: value}}), encoding="utf-8")
-        argv = ["--config", str(config)] + argv
-        name = f"{config} 'train': {key}"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        argv += ["--config", str(config)]
+        name = f"{config}: {key}"
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be in ") and err.count("\n") == 1, err
@@ -703,60 +741,68 @@ def test_a_diverging_run_prints_one_error_line(tmp_path):
     assert re.fullmatch(r"error: fft step \d+: non-finite [^\n]*\n", done.stderr), done.stderr
 
 
-def test_config_file_train_section_is_checked(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("content, message", [
+    ({"lr": 1e-3}, "unknown train config key 'lr'"),
+    ({"train": {"epochs": 2}}, "unknown train config key 'train'"),
+    ({"epochs": 0}, "epochs must be in [1, inf), not 0"),
+    ({"seed": 1.5}, "train config 'seed' must be an integer, not 1.5"),
+    ([1], "train config must be an object, not [1]"),
+])
+def test_bad_train_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch, command,
+                                                 content, message):
     _no_training(monkeypatch)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train": {"lr": 1e-3}}), encoding="utf-8")
-    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
-                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
-    assert f"{config} 'train': unknown config 'train' key 'lr'" in capsys.readouterr().err
+    config.write_text(json.dumps(content), encoding="utf-8")
+    argv = {"train": ["train", "--mode", "fft"], "sweep": ["sweep"]}[command]
+    assert main(argv + ["--config", str(config), "--data", "d",
+                        "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
-@pytest.mark.parametrize("where, content, message", [
-    ("refine", {"nope": 1}, "unknown refinery config key 'nope'"),
-    ("refine", {"min_tokens": "2"}, "refinery config 'min_tokens' must be an integer"),
-    ("refine", {"quality_percentile": "0.9"}, "'quality_percentile' must be a number"),
-    ("refine", {"strict": 1}, "refinery config 'strict' must be true or false, not 1"),
-    ("refine", {"char_split_langs": "zh"}, "'char_split_langs' must be a list of strings"),
-    ("refine", {"char_split_langs": ["zh", 3]}, "'char_split_langs' must be a list of strings"),
-    ("refine", [1], "refinery config must be an object"),
-    ("global", {"refinery": {"nope": 1}}, "unknown config 'refinery' key 'nope'"),
-    ("global", {"refinery": {"hamming_radius": 2.0}}, "'hamming_radius' must be an integer"),
-    ("global", [1], "config file must be an object"),
-    ("global", {"refinary": {"min_tokens": 100}}, "unknown config file key 'refinary'"),
-    ("refine", {"min_tokens": 0}, "min_tokens must be in [1, inf), not 0"),
-    ("refine", {"max_conflicts": -1}, "max_conflicts must be in [0, inf), not -1"),
-    ("refine", {"langid_min_prob": float("nan")}, "langid_min_prob must be in [0, 1], not nan"),
+def test_train_config_file_keys_reach_the_run_under_the_flags(tmp_path, monkeypatch):
+    # the file sets the keys, and a flag given sets its key over the file's
+    from forge import trainer
+
+    class Trains(Exception):
+        pass
+
+    def run(start, batches, mode, config, boundary=None):
+        raise Trains(config)
+    monkeypatch.setattr(trainer, "run", run)
+    assert main(["make-synth", "--task", "translation", "--n", "40", "--seed", "1",
+                 "--out", str(tmp_path / "synth")]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 3, "seed": 5, "weight_decay": 0.5}),
+                      encoding="utf-8")
+    with pytest.raises(Trains) as trained:
+        main(["train", "--mode", "fft", "--config", str(config), "--seed", "6",
+              "--data", str(tmp_path / "synth"), "--model-config", str(_write_model_config(tmp_path)),
+              "--out", str(tmp_path / "run")])
+    assert trained.value.args[0] == trainer.TrainConfig(epochs=3, seed=6, weight_decay=0.5)
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"nope": 1}, "unknown refinery config key 'nope'"),
+    ({"min_tokens": "2"}, "refinery config 'min_tokens' must be an integer"),
+    ({"hamming_radius": 2.0}, "'hamming_radius' must be an integer"),
+    ({"quality_percentile": "0.9"}, "'quality_percentile' must be a number"),
+    ({"strict": 1}, "refinery config 'strict' must be true or false, not 1"),
+    ({"char_split_langs": "zh"}, "'char_split_langs' must be a list of strings"),
+    ({"char_split_langs": ["zh", 3]}, "'char_split_langs' must be a list of strings"),
+    ([1], "refinery config must be an object"),
+    ({"min_tokens": 0}, "min_tokens must be in [1, inf), not 0"),
+    ({"max_conflicts": -1}, "max_conflicts must be in [0, inf), not -1"),
+    ({"langid_min_prob": float("nan")}, "langid_min_prob must be in [0, 1], not nan"),
 ])
-def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, where, content, message):
+def test_bad_refinery_config_is_a_domain_error(tmp_path, capsys, content, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(content), encoding="utf-8")
-    refine = ["refine", "--input", str(tmp_path / "in.jsonl"), "--output", str(tmp_path / "o")]
-    argv = refine + ["--config", str(config)] if where == "refine" else \
-        ["--config", str(config)] + refine
-    assert main(argv) == 1
+    assert main(["refine", "--input", str(tmp_path / "in.jsonl"), "--output",
+                 str(tmp_path / "o"), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err, err
     assert str(config) in err, err
-
-
-def test_unknown_config_file_section_is_a_domain_error(tmp_path, capsys, monkeypatch):
-    _no_training(monkeypatch)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"trian": {"epochs": 0}}), encoding="utf-8")
-    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
-                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "unknown config file key 'trian'" in err, err
-
-
-def test_non_object_config_file_is_a_domain_error(tmp_path, capsys, monkeypatch):
-    _no_training(monkeypatch)
-    config = tmp_path / "config.json"
-    config.write_text("[1]", encoding="utf-8")
-    assert main(["--config", str(config), "train", "--mode", "fft", "--data", "d",
-                 "--model-config", str(_write_model_config(tmp_path)), "--out", "o"]) == 1
-    assert "config file must be an object, not [1]" in capsys.readouterr().err
 
 
 def test_refinery_config_file_values_reach_the_config():
@@ -1091,16 +1137,10 @@ INPUT_FILE_FLAGS = {
     "sweep --eval-general": "sweep --model-config {model} --data {data} --out {out} "
                             "--eval-general {bad}",
     "train --model-config": "train --mode fft --model-config {bad} --data {data} --out {out}",
-    "--config": "--config {bad} train --mode fft --model-config {model} --data {data} "
-                "--out {out}",
-    "--config sweep": "--config {bad} sweep --model-config {model} --data {data} --out {out} "
+    "train --config": "train --mode fft --config {bad} --model-config {model} --data {data} "
+                      "--out {out}",
+    "sweep --config": "sweep --config {bad} --model-config {model} --data {data} --out {out} "
                       "--eval-translation {data}",
-    "--config refine": "--config {bad} refine --input {records} --output {out}",
-    "--config make-synth": "--config {bad} make-synth --task general --n 10 --out {out}",
-    "--config eval": "--config {bad} eval --checkpoint {ckpt} --data {data}",
-    "--config analyze-gradients": "--config {bad} analyze-gradients --checkpoint {ckpt} "
-                                  "--data {data} --out {out}",
-    "--config compare": "--config {bad} compare --spec {spec} --out {out}",
     "refine --config": "refine --input {records} --output {out} --config {bad}",
     "compare --spec": "compare --spec {bad} --out {out}",
     "refine --dev-set": "refine --input {records} --output {out} --dev-set {bad}",
@@ -1110,9 +1150,8 @@ INPUT_FILE_FLAGS = {
     "refine --input --strict": "refine --input {bad} --output {out} --strict",
     "refine --input": "refine --input {bad} --output {out}",
 }
-JSON_FLAGS = ("train --model-config", "--config", "--config sweep", "--config refine",
-              "--config make-synth", "--config eval", "--config analyze-gradients",
-              "--config compare", "refine --config", "compare --spec")
+JSON_FLAGS = ("train --model-config", "train --config", "sweep --config", "refine --config",
+              "compare --spec")
 
 
 def _input_files(tmp_path) -> dict:
@@ -1254,8 +1293,9 @@ def test_every_command_refuses_an_empty_data_file(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("task, flag, value, interval", [
     ("general", "--max-step", "-1", "[1, inf)"), ("general", "--max-step", "0", "[1, inf)"),
-    ("general", "--gen-max-len", "0", "[1, inf)"), ("general", "--n", "0", "[1, inf)"),
-    ("translation", "--n", "-2", "[1, inf)"), ("translation", "--seed", "-1", "[0, inf)"),
+    ("general", "--gen-max-len", "0", "[1, inf)"), ("general", "--n", "0", "[2, inf)"),
+    ("translation", "--n", "-2", "[2, inf)"), ("translation", "--n", "1", "[2, inf)"),
+    ("general", "--n", "1", "[2, inf)"), ("translation", "--seed", "-1", "[0, inf)"),
     ("general", "--perm-seed", "-4", "[0, inf)")])
 def test_make_synth_counts_must_be_positive(tmp_path, capsys, task, flag, value, interval):
     out = tmp_path / "synth"

@@ -87,16 +87,14 @@ def _entry_kind(where, name):
 
 def _boundaries(where, name):
     """The ways a value reaches the setting, as (how, subcommand): a flag
-    of each subcommand that has it, a --config section, a config file or
-    a spec key."""
+    of each subcommand that has it, a config file or a spec key."""
     ways = []
     if where in ("flag", "make-synth") or where == "train" and name in cli.TRAIN_FLAGS:
         ways = [("flag", command) for command, action in _numeric_actions()
                 if command and action.dest == name]
-    if where in ("model", "train", "refinery"):
-        ways.append(("--config", where))
     ways += {"model": [("--model-config", "train"), ("spec model_config", "compare")],
-             "train": [("spec row", "compare"), ("spec pretrain", "compare")] + (
+             "train": [("train --config", "train"), ("spec row", "compare"),
+                       ("spec pretrain", "compare")] + (
                  [("spec seed", "compare")] if name == "seed" else []),
              "refinery": [("refine --config", "refine")]}.get(where, [])
     return ways
@@ -138,20 +136,16 @@ def _run(tmp, where, name, way, value):
     if how == "flag":
         flag = "--" + name.replace("_", "-")
         text = repr(value) if isinstance(value, float) else str(value)
-        # a --config file that is not JSON shows that the flag is checked first
-        not_json = tmp / "not-json.json"
-        not_json.write_text("{", encoding="utf-8")
-        argv = ["--config", str(not_json)] + COMMANDS[command] + [f"{flag}={text}"]
-        return argv, flag, _entry_kind(where, name)(text)
+        return COMMANDS[command] + [f"{flag}={text}"], flag, _entry_kind(where, name)(text)
     obj = {**MODEL, name: value} if where == "model" else {name: value}
     model = _write(tmp / "model.json",
                    obj if how in ("--model-config", "spec model_config") else MODEL)
     spec_path = tmp / "spec.json"
     spec = {"model_config": str(model), "train_data": "d", "eval_sets": {},
             "rows": [{"label": "x", "mode": "fft"}], "out_dir": str(tmp / "cmp")}
-    if how == "--config":
-        path = _write(tmp / "config.json", {where: obj})
-        return ["--config", str(path)] + COMMANDS["eval"], f"{path} '{where}': {name}", value
+    if how == "train --config":
+        path = _write(tmp / "config.json", obj)
+        return COMMANDS["train"] + ["--config", str(path)], f"{path}: {name}", value
     if how == "refine --config":
         path = _write(tmp / "rc.json", obj)
         return COMMANDS["refine"] + ["--config", str(path)], f"{path}: {name}", value
@@ -215,18 +209,27 @@ def _closed_ends(interval, kind):
             if closed]
 
 
+class Ran(Exception):
+    pass
+
+
 @pytest.mark.parametrize("where, name, end", [
     (where, name, end) for where, name in ENTRIES
     for end in _closed_ends(_interval(where, name), _entry_kind(where, name))])
-def test_a_closed_end_is_accepted(tmp_path, capsys, no_data, where, name, end):
+def test_a_closed_end_is_accepted(tmp_path, monkeypatch, no_data, where, name, end):
     if where != "flag":
         obj = {**(MODEL if where == "model" else {}), **PAIRED.get(name, {}), name: end}
         assert getattr(read_config(CONFIGS[where], obj, where, "test"), name) == end
+
+    def ran(args):
+        raise Ran
+    for command in ("refine", "make_synth", "train", "sweep", "analyze", "eval", "compare"):
+        monkeypatch.setattr(cli, f"cmd_{command}", ran)
     for way in (way for way in _boundaries(where, name) if way[0] == "flag"):
-        # the flag check passes it, and main goes on to read the --config file
+        # the flag check passes it, and main goes on to run the command
         argv, _, _ = _run(tmp_path, where, name, way, end)
-        assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'not-json.json'}: ")
+        with pytest.raises(Ran):
+            main(argv)
 
 
 def test_check_range_reads_every_form_of_interval():

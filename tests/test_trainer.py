@@ -1,11 +1,14 @@
 """Trainer tests: layer selection, the warmup+cosine schedule, masked
 AdamW, freezing soundness, stage isolation, and the sweep."""
+import ctypes
+import dataclasses
 import math
 import os
 import signal
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +252,22 @@ def test_run_refuses_a_mode_that_trains_no_tensor():
         run(init(CFG), _small_batches(n=8), mode, TrainConfig())
 
 
+@pytest.mark.parametrize("kind", ["two-stage", "single-stage"])
+def test_run_refuses_a_selection_made_for_another_model_before_any_step(monkeypatch, kind):
+    # bottom-1/top-2 of six layers, run on a two-layer model: stage 1's
+    # layer 0 exists there, stage 2's layers 4 and 5 do not
+    def no_step(*args, **kwargs):
+        raise AssertionError("trained a stage of a mode made for another model")
+    monkeypatch.setattr(trainer, "loss_and_backward", no_step)
+    params = init(dataclasses.replace(CFG, n_layers=2))
+    start = params_digest(params)
+    mode = TrainMode(kind, select_layers(6, 1, 2))
+    with pytest.raises(ForgeError, match=f"^{kind} mode selects layers of a 6-layer model, "
+                                         "not of this 2-layer one$"):
+        run(params, _small_batches(n=8), mode, TrainConfig())
+    assert params_digest(params) == start
+
+
 def test_run_does_not_mutate_caller_params():
     params = init(CFG)
     before = params_digest(params)
@@ -490,6 +509,18 @@ def test_run_rows_reuses_its_workers(workers):
         assert set(pids) == {os.getpid()}
     else:
         assert len(set(pids)) <= workers and os.getpid() not in pids
+
+
+def test_a_row_worker_runs_one_blas_thread():
+    # workers run side by side, so each one's BLAS gets one thread, and
+    # this process keeps its own count
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+    if not libs:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    get_threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    before = get_threads()
+    assert trainer.run_rows(get_threads, [("a", ()), ("b", ())], workers=2) == [1, 1]
+    assert get_threads() == before
 
 
 def test_run_rows_worker_that_died_while_idle_is_an_error_naming_a_row():
