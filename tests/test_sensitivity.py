@@ -1,11 +1,15 @@
 """Nuclear norm (vs a full-SVD oracle) and the gradient report."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from forge.errors import NonFiniteInput
+import forge
+from forge.errors import ForgeError, NonFiniteInput
 from forge.sensitivity import (
     GradientReport,
     LayerNorms,
@@ -96,7 +100,7 @@ def test_stack_matches_single_matrices():
     got = nuclear_norms(stack)
     assert got.shape == (5,)
     for value, m in zip(got, stack):
-        assert abs(value - nuclear_norm(m)) / value < 1e-12
+        assert value == nuclear_norm(m)
         assert abs(value - svd_nuclear_norm(m)) / value < 1e-8
 
 
@@ -118,15 +122,57 @@ def test_absolute_homogeneity(m, c):
     assert abs(scaled - abs(c) * base) <= 1e-9 * max(abs(c) * base, 1.0)
 
 
-@pytest.mark.parametrize("gamma", [1e-310, 5e-309])
-def test_jacobi_rotation_with_overflowing_zeta_is_the_identity(gamma):
-    # the rows' inner product is active yet makes zeta overflow to -inf
-    # (1e-310), or leaves zeta near -1e308 and overflows the denominator
-    # of t (5e-309); the rotation is then the identity, and numpy does
-    # not warn
-    from forge.sensitivity import _row_norms_after_jacobi
-    r = np.array([[[1.0, 0.0], [gamma, 0.0]]])
-    np.testing.assert_array_equal(_row_norms_after_jacobi(r), [[1.0, 0.0]])
+def test_exact_zero_sturm_pivot():
+    # the first bisection point is 0.25, where the last Sturm pivot is 0
+    assert nuclear_norm(np.diag([0.5, 0.25])) == 0.75
+
+
+@pytest.mark.parametrize("tiny", [1e-310, 5e-309])
+def test_subnormal_entries(tiny):
+    # a subnormal beside a 1 squares to 0 in the Sturm counts
+    assert nuclear_norm(np.array([[1.0, 0.0], [tiny, 0.0]])) == 1.0
+
+
+def test_zero_matrix_in_a_stack():
+    # its bisection bracket is [0, 0] while the others' are not
+    stack = np.stack([np.zeros((3, 3)), np.diag([3.0, 2.0, 1.0]), np.eye(3)])
+    got = nuclear_norms(stack)
+    assert got[0] == 0.0
+    np.testing.assert_allclose(got[1:], [6.0, 3.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("column", [0, 3])
+def test_zero_column_matches_svd_oracle(column):
+    # a zero first column makes the tridiagonal's first off-diagonal zero,
+    # and a later one is mixed into its neighbours by the right reflectors
+    m = np.random.default_rng(column).standard_normal((7, 6))
+    m[:, column] = 0.0
+    oracle = svd_nuclear_norm(m)
+    assert abs(nuclear_norm(m) - oracle) / oracle < 1e-12
+
+
+def test_rank_one_matches_svd_oracle():
+    # 63 singular values of zero, each found to within 2^-52 of the largest
+    rng = np.random.default_rng(64)
+    m = np.outer(rng.standard_normal(64), rng.standard_normal(64))
+    oracle = svd_nuclear_norm(m)
+    assert abs(nuclear_norm(m) - oracle) / oracle < 1e-12
+
+
+def test_src_uses_no_linalg():
+    # the SVD oracle in helpers.py must stay independent of the code it checks
+    for path in sorted(Path(forge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            assert not any("linalg" in name.split(".") for name in names), \
+                f"{path.name}:{node.lineno} uses linalg"
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +235,12 @@ def test_report_norms_match_single_norms_and_svd(accumulate):
                 oracle = sum(svd_nuclear_norm(g) for g in per_batch) / len(batches)
             assert abs(got - mine) / mine < 1e-12
             assert abs(got - oracle) / oracle < 1e-8
+
+
+@pytest.mark.parametrize("accumulate", [True, False])
+def test_report_rejects_an_empty_probe(accumulate):
+    with pytest.raises(ForgeError, match="probe holds no batches"):
+        layer_gradient_report(init(CFG), [], accumulate=accumulate)
 
 
 def test_report_rejects_non_finite_gradient():
