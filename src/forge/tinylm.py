@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
@@ -147,7 +149,6 @@ def init(config: ModelConfig, dtype=np.float32) -> ModelParams:
     1/sqrt(2*n_layers) factor; without it the randomly initialized
     blocks swamp the embedding signal at depth and training stalls.
     """
-    _erf()
     rng = np.random.default_rng(config.init_seed)
     residual_scale = 1.0 / math.sqrt(2 * config.n_layers)
     tensors: dict[ParamKey, np.ndarray] = {}
@@ -204,11 +205,25 @@ def _rmsnorm_backward(dy, gain, xhat, r):
 
 @functools.cache
 def _erf():
-    """scipy.special.erf, imported on first use, so that a process that
-    never builds or loads a model (refine, make-synth) never pays for
-    importing scipy. init and load_checkpoint call it, so that the row
-    workers forked after them inherit the module instead of importing it
-    each."""
+    """scipy.special.erf, loaded on first use from the extension module
+    that defines it, scipy/special/_special_ufuncs, without running the
+    scipy.special package __init__, which imports some 66 modules for
+    this one ufunc and costs a model process more start-up time and
+    memory than the model itself. The extension registers itself in
+    sys.modules, so the ufunc is the
+    very object scipy.special.erf whichever loads first. A scipy without
+    that extension, or without erf in it, imports scipy.special instead."""
+    scipy = importlib.util.find_spec("scipy")  # finds, does not import
+    for root in scipy.submodule_search_locations if scipy else ():
+        finder = importlib.machinery.FileFinder(
+            os.path.join(root, "special"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.special._special_ufuncs")
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if hasattr(module, "erf"):
+                return module.erf
     from scipy.special import erf
     return erf
 
@@ -503,7 +518,6 @@ def load_checkpoint(in_dir: str | Path, dtype=np.float32) -> ModelParams:
     type for type; params.bin must match the manifest's sha256 when it
     has one (manifests written before the hash have none), hold exactly
     the table's bytes, and every value must be finite."""
-    _erf()
     path = Path(in_dir) / "manifest.json"
     manifest = read_object(read_json(path), {"tensors": list, ...: object}, str(path),
                            ("config", "tensors"))

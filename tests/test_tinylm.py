@@ -1,6 +1,7 @@
 """Model tests: seeded init, forward contracts, the finite-difference
 gradient oracle, param-path enumeration, and the checkpoint codec."""
 import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -347,20 +348,82 @@ def test_checkpoint_blob_is_flat_f32_in_path_order(tmp_path):
     assert offset == len(blob)
 
 
-@pytest.mark.parametrize("call", ["tinylm.init(config)",
-                                  "tinylm.load_checkpoint(sys.argv[1])"])
-def test_building_or_loading_a_model_imports_scipy(tmp_path, call):
-    # a row worker forked after init or load_checkpoint inherits scipy and
-    # does not import it itself; importing tinylm alone does not load it
+# a fresh interpreter with the CFG model and a fixed batch, for the tests
+# that need a process where nothing has loaded scipy yet
+_MODEL_CODE = ("import hashlib, sys\n"
+               "import numpy as np\n"
+               "from forge import tinylm\n"
+               f"config = tinylm.ModelConfig(**{CFG.__dict__!r})\n"
+               "batch = tinylm.Batch(ids=np.arange(30).reshape(3, 10) % 32,\n"
+               "                     mask=np.ones((3, 10)))\n")
+
+
+def _logits_digest(params):
+    batch = Batch(ids=np.arange(30).reshape(3, 10) % 32, mask=np.ones((3, 10)))
+    return hashlib.sha256(forward(params, batch, keep=False)[0].tobytes()).hexdigest()
+
+
+def test_a_model_loads_only_the_erf_extension_of_scipy(tmp_path):
+    # building, loading and running a model never imports scipy or its
+    # scipy.special package, only the extension module that holds erf
     save_checkpoint(init(CFG), tmp_path)
-    code = ("import sys\n"
-            "from forge import tinylm\n"
-            f"config = tinylm.ModelConfig(**{CFG.__dict__!r})\n"
-            "before = 'scipy' in sys.modules\n"
-            f"{call}\n"
-            "print(before, 'scipy.special' in sys.modules)\n")
+    code = _MODEL_CODE + (
+        "tinylm.init(config)\n"
+        "params = tinylm.load_checkpoint(sys.argv[1])\n"
+        "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "tinylm.forward(params, batch)\n"
+        "print(before, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     done = run_python(code, str(tmp_path))
-    assert (done.returncode, done.stdout) == (0, "False True\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[] ['scipy.special._special_ufuncs']\n"), done.stderr
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_erf_is_the_scipy_special_ufunc_whichever_loads_first(scipy_first):
+    load = "import scipy.special\n"
+    code = ("from forge import tinylm\n"
+            + (load if scipy_first else "")
+            + "erf = tinylm._erf()\n"
+            + ("" if scipy_first else load)
+            + "print(erf is scipy.special.erf)\n")
+    done = run_python(code)
+    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
+
+
+def test_gelu_on_edge_inputs_raises_no_warning():
+    # erf is loaded here, on first use, under the warnings filter
+    code = ("import math, warnings\n"
+            "import numpy as np\n"
+            "from forge import tinylm\n"
+            "edges = [0.0, -0.0, math.nan, math.inf, 1.0, -1.0, 3.92, -3.92, 8.0, -8.0]\n"
+            "with warnings.catch_warnings(), np.errstate(all='ignore'):\n"
+            "    warnings.simplefilter('error')\n"
+            "    for dtype in (np.float32, np.float64):\n"
+            "        tiny = np.finfo(dtype).smallest_subnormal\n"
+            "        x = np.array(edges + [tiny], dtype=dtype)\n"
+            "        y, cdf = tinylm._gelu(x)\n"
+            "        assert y.dtype == cdf.dtype == dtype, (y.dtype, cdf.dtype)\n"
+            "        print(y[0], y[3], np.isnan(y[2]), y[-1] == 0.5 * tiny)\n")
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.0 inf True True\n" * 2
+
+
+def test_without_the_erf_extension_gelu_falls_back_to_scipy_special():
+    # a scipy that has no _special_ufuncs extension: the file lookup
+    # misses, and the package import gives the same ufunc and the same bits
+    code = _MODEL_CODE + (
+        # no suffix for the lookup to try, so it finds no file; the import
+        # system took its own copy of the suffixes at start-up
+        "import importlib.machinery\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+        "erf = tinylm._erf()\n"
+        "fell_back = 'scipy.special' in sys.modules\n"
+        "import scipy.special\n"
+        "logits = tinylm.forward(tinylm.init(config), batch, keep=False)[0]\n"
+        "print(fell_back, erf is scipy.special.erf, hashlib.sha256(logits.tobytes()).hexdigest())\n")
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"True True {_logits_digest(init(CFG))}\n"
 
 
 def test_batch_validation():

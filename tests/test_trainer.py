@@ -35,7 +35,7 @@ from forge.trainer import (
     stage_plan,
 )
 
-from helpers import child_pids, params_digest
+from helpers import child_pids, params_digest, run_python
 
 CFG = ModelConfig(n_layers=4, d_model=32, n_heads=4, d_ff=64,
                   vocab_size=32, max_seq_len=24, init_seed=3)
@@ -521,6 +521,27 @@ def test_a_row_worker_runs_one_blas_thread():
     before = get_threads()
     assert trainer.run_rows(get_threads, [("a", ()), ("b", ())], workers=2) == [1, 1]
     assert get_threads() == before
+
+
+def test_row_workers_run_a_model_without_importing_scipy_special():
+    # nothing has loaded erf when the workers fork, so each loads its
+    # extension itself; the workers=1 run after them reuses this process's
+    code = ("import hashlib, sys\n"
+            "import numpy as np\n"
+            "from forge import tinylm, trainer\n"
+            "config = tinylm.ModelConfig(n_layers=2, d_model=32, n_heads=4, d_ff=64,\n"
+            "                            vocab_size=32, max_seq_len=16, init_seed=7)\n"
+            "params = tinylm.init(config)\n"
+            "def work(seed):\n"
+            "    ids = np.random.default_rng(seed).integers(0, 32, size=(3, 10))\n"
+            "    logits, _ = tinylm.forward(params, tinylm.Batch(ids=ids, mask=np.ones((3, 10))))\n"
+            "    return 'scipy.special' in sys.modules, logits.tobytes()\n"
+            "jobs = [(seed, (seed,)) for seed in range(4)]\n"
+            "two = trainer.run_rows(work, jobs, workers=2)\n"
+            "one = trainer.run_rows(work, jobs, workers=1)\n"
+            "print([loaded for loaded, _ in two], two == one)\n")
+    done = run_python(code)
+    assert (done.returncode, done.stdout) == (0, f"{[False] * 4} True\n"), done.stderr
 
 
 def test_run_rows_worker_that_died_while_idle_is_an_error_naming_a_row():
